@@ -4,10 +4,12 @@ Subcommands: simulate, universal-exact, identities, approximate,
 robustness, dirac-limit. Options shared by all commands: --seed,
 --threads, --out, --format {csv,json}, --config. A config file is JSON
 whose keys are the long option names with dashes replaced by
-underscores; explicit flags override config values, config values
-override built-in defaults. Identical configuration and seed produce
-byte-identical output files; JSON reports carry a schema_version field,
-floats are written with 17 significant digits and rationals as "p/q".
+underscores, and each value must have the JSON type of its option
+(integer, number, string, or true/false for a flag); explicit flags
+override config values, config values override built-in defaults.
+Identical configuration and seed produce byte-identical output files;
+JSON reports carry a schema_version field, floats are written with 17
+significant digits and rationals as "p/q".
 
 Exit status: 0 on success, 2 when the configuration does not validate,
 3 when a validated run fails.
@@ -384,13 +386,43 @@ _REQUIRED = {
 }
 
 
-def _apply_config_and_defaults(args: argparse.Namespace) -> None:
+#: JSON types a config value may take, by the option's parser type
+_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _command_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    # argparse exposes a subcommand's options only through private attributes
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _check_config(config: dict, actions: dict) -> None:
+    """Reject config values whose JSON type does not fit the option."""
+    for key, value in config.items():
+        action = actions.get(key)
+        if action is None:
+            continue
+        expected = (bool,) if action.nargs == 0 else _CONFIG_TYPES[action.type]
+        if not isinstance(value, expected) or (
+            isinstance(value, bool) and bool not in expected
+        ):
+            names = " or ".join(t.__name__ for t in expected)
+            raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(
+                f"config key {key!r} must be one of {list(action.choices)}, "
+                f"got {value!r}"
+            )
+
+
+def _apply_config_and_defaults(args: argparse.Namespace, actions: dict) -> None:
     config = {}
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
+        _check_config(config, actions)
     defaults = dict(_DEFAULTS.get(args.command, {}))
     defaults.setdefault("threads", _default_threads())
     for key, value in vars(args).items():
@@ -411,7 +443,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_and_defaults(args)
+        _apply_config_and_defaults(args, _command_actions(parser, args.command))
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -215,6 +215,8 @@ class DiracMixtureDensity(Density):
             weights = list(weights)
             if len(weights) != len(points):
                 raise ValueError("one weight per support point")
+            if not all(math.isfinite(w) for w in weights):
+                raise ValueError("weights must be finite")
             if any(w < 0 for w in weights) or sum(weights) == 0:
                 raise ValueError("weights must be non-negative, not all zero")
             total = sum(weights)

@@ -30,6 +30,8 @@ class QuantumState:
         m = np.asarray(moduli_sq, dtype=float)
         if m.ndim != 1 or m.size < 2:
             raise ValueError("a state needs at least two amplitudes")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("squared moduli must be finite")
         if np.any(m < 0.0):
             raise ValueError("squared moduli must be non-negative")
         if abs(m.sum() - 1.0) > SUM_TOL:

@@ -74,6 +74,8 @@ class BarycentricState:
         arr = np.array([float(c) for c in coords], dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a state needs at least two outcome weights")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("barycentric weights must be finite")
         if np.any(arr < 0.0):
             raise ValueError("barycentric weights must be non-negative")
         if exact is not None:

@@ -18,13 +18,19 @@ The same enumeration covers higher-dimensional tessellations: order the
 i cells outside a target region before the n_c - i cells inside it on a
 line, and the probability that a breakable cell inside the region
 breaks is again k_i / k.
+
+Every enumerated result follows one contract. A single kernel visits
+each nonzero mask once and returns integer counts of masks by k and by
+the popcounts of the requested shifts. Integer dot products turn the
+counts into per-k integer sums S_k, and only the n final terms S_k / k
+become Fractions. No float enters the enumeration or the reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -41,7 +47,8 @@ for _b in range(16):
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
-    return _POP16[a & 0xFFFF].astype(np.int64) + _POP16[(a >> 16) & 0xFFFF]
+    """uint8 popcounts of non-negative integers below 2**32."""
+    return _POP16[a & 0xFFFF] + _POP16[a >> 16]
 
 
 @dataclass(frozen=True)
@@ -85,29 +92,41 @@ def transition_probability_1d(
     return p_left if target == "left" else 1 - p_left
 
 
-def _check_enumerable(n: int) -> None:
+def _mask_counts(n: int, shifts: tuple[int, ...], bit: int | None = None) -> np.ndarray:
+    """Integer counts of the nonzero n-bit masks by their bit counts.
+
+    Entry [k, r_1, ..., r_m] counts the masks with k breakable cells and
+    popcount(mask >> shifts[j]) == r_j. With `bit` given, a last axis of
+    length two holds (mask >> bit) & 1, extracted on its own. Each mask
+    is visited once, in chunks, and tallied by one unweighted bincount
+    over the combined index.
+    """
     if n > MAX_ENUMERABLE_CELLS:
         raise ValueError(
             f"enumeration over 2**{n} masks exceeds the default bound of "
             f"{MAX_ENUMERABLE_CELLS} cells"
         )
-
-
-def _suffix_sums(n: int, shift: int) -> np.ndarray:
-    """Per-k sums of popcount(mask >> shift) over all nonzero n-bit masks.
-
-    Entry k of the result is sum over masks with k breakable cells of
-    the number of breakable cells right of the first `shift` cells;
-    bucketing by k lets the Fraction arithmetic happen on n terms
-    instead of 2**n.
-    """
-    sums = np.zeros(n + 1, dtype=np.int64)
+    dims = (n + 1, *(n - s + 1 for s in shifts), *((2,) if bit is not None else ()))
+    size = prod(dims)
+    counts = np.zeros(size, dtype=np.int64)
     for start in range(1, 1 << n, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        k = _popcount(masks)
-        k_right = _popcount(masks >> shift)
-        sums += np.bincount(k, weights=k_right, minlength=n + 1).astype(np.int64)
-    return sums
+        index = _popcount(masks).astype(np.intp)
+        for s, d in zip(shifts, dims[1:]):
+            index *= d
+            index += _popcount(masks >> s)
+        if bit is not None:
+            index *= 2
+            index += (masks >> bit) & 1
+        counts += np.bincount(index, minlength=size)
+    return counts.reshape(dims)
+
+
+def _per_k_total(sums: np.ndarray) -> Fraction:
+    """Exact sum of sums[k] / k over k = 1..len(sums) - 1."""
+    return sum(
+        (Fraction(int(sums[k]), k) for k in range(1, len(sums))), Fraction(0)
+    )
 
 
 def universal_average_1d(n: int, i: int, target: str = "left") -> Fraction:
@@ -122,11 +141,7 @@ def universal_average_1d(n: int, i: int, target: str = "left") -> Fraction:
         raise ValueError("need at least two cells for an interior position")
     if not 1 <= i <= n - 1:
         raise ValueError(f"position must be in 1..{n - 1}")
-    _check_enumerable(n)
-    sums = _suffix_sums(n, i)
-    p_left = sum(
-        (Fraction(int(sums[k]), k) for k in range(1, n + 1)), Fraction(0)
-    ) / (2**n - 1)
+    p_left = universal_average_abstract(n, i)
     return p_left if target == "left" else 1 - p_left
 
 
@@ -144,11 +159,8 @@ def universal_average_abstract(n_cells: int, cells_in_complement: int) -> Fracti
         raise ValueError("need at least one cell")
     if not 0 <= i <= n:
         raise ValueError(f"complement size must be in 0..{n}")
-    _check_enumerable(n)
-    sums = _suffix_sums(n, i)
-    return sum(
-        (Fraction(int(sums[k]), k) for k in range(1, n + 1)), Fraction(0)
-    ) / (2**n - 1)
+    sums = _mask_counts(n, (i,)) @ np.arange(n - i + 1)
+    return _per_k_total(sums) / (2**n - 1)
 
 
 def binomial_identity_a(n: int) -> tuple[Fraction, Fraction]:
@@ -231,45 +243,23 @@ def recurrence_step_check(n: int, i: int) -> RecurrenceReport:
         raise ValueError("an induction step needs at least three cells")
     if not 1 <= i <= n - 2:
         raise ValueError(f"position must be in 1..{n - 2}")
-    _check_enumerable(n)
+    # axes: k, popcount(mask >> i), popcount(mask >> (i + 1)), bit i
+    counts = _mask_counts(n, (i, i + 1), bit=i)
+    r_i = np.arange(n - i + 1)[:, None, None]
+    r_i1 = np.arange(n - i)[:, None]
+    bit = np.arange(2)
 
-    sums_i = np.zeros(n + 1, dtype=np.int64)
-    sums_i1 = np.zeros(n + 1, dtype=np.int64)
-    sums_u_i1 = np.zeros(n + 1, dtype=np.int64)
-    sums_u_i = np.zeros(n + 1, dtype=np.int64)
-    count_b = np.zeros(n + 1, dtype=np.int64)
-    difference_law = True
-    for start in range(1, 1 << n, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        k = _popcount(masks)
-        ki = _popcount(masks >> i)
-        ki1 = _popcount(masks >> (i + 1))
-        bit = ((masks >> i) & 1).astype(bool)
-        sums_i += np.bincount(k, weights=ki, minlength=n + 1).astype(np.int64)
-        sums_i1 += np.bincount(k, weights=ki1, minlength=n + 1).astype(np.int64)
-        sums_u_i1 += np.bincount(
-            k[~bit], weights=ki1[~bit], minlength=n + 1
-        ).astype(np.int64)
-        sums_u_i += np.bincount(
-            k[~bit], weights=ki[~bit], minlength=n + 1
-        ).astype(np.int64)
-        count_b += np.bincount(k[bit], minlength=n + 1).astype(np.int64)
-        difference_law &= bool(np.all((ki - ki1)[bit] == 1))
-        difference_law &= bool(np.all((ki - ki1)[~bit] == 0))
+    def per_k(weight: np.ndarray) -> np.ndarray:
+        return (counts * weight).sum(axis=(1, 2, 3))
 
-    def bucket_total(sums: np.ndarray) -> Fraction:
-        return sum(
-            (Fraction(int(sums[k]), k) for k in range(1, n + 1)), Fraction(0)
-        )
-
+    occupied = counts.any(axis=0)
+    difference_law = bool(np.all((r_i - r_i1 == bit) | ~occupied))
     total = (1 << n) - 1
-    sum_at_i = bucket_total(sums_i)
-    sum_at_i1 = bucket_total(sums_i1)
-    unbreakable_split = bucket_total(sums_u_i1)
-    unbreakable_shifted = bucket_total(sums_u_i)
-    difference = -sum(
-        (Fraction(int(count_b[k]), k) for k in range(1, n + 1)), Fraction(0)
-    )
+    sum_at_i = _per_k_total(per_k(r_i))
+    sum_at_i1 = _per_k_total(per_k(r_i1))
+    unbreakable_split = _per_k_total(per_k(r_i1 * (1 - bit)))
+    unbreakable_shifted = _per_k_total(per_k(r_i * (1 - bit)))
+    difference = -_per_k_total(per_k(bit))
     closed_i = total * Fraction(n - i, n)
     closed_i1 = total * Fraction(n - i - 1, n)
     closed_diff = -Fraction(total, n)
@@ -315,6 +305,8 @@ def recurrence_step_check(n: int, i: int) -> RecurrenceReport:
 def theorem_report(max_cells: int) -> dict:
     """JSON-ready table of mask averages versus uniform values for every
     cell count up to `max_cells` and every interior position."""
+    if not 2 <= max_cells <= MAX_ENUMERABLE_CELLS:
+        raise ValueError(f"table size must be in 2..{MAX_ENUMERABLE_CELLS} cells")
     rows = []
     for n in range(2, max_cells + 1):
         for i in range(1, n):
@@ -334,6 +326,8 @@ def theorem_report(max_cells: int) -> dict:
 
 def identity_report(n_max: int) -> dict:
     """JSON-ready table of both binomial identities for n up to n_max."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     rows = []
     for n in range(n_max + 1):
         lhs_a, rhs_a = binomial_identity_a(n)

@@ -147,6 +147,13 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_non_finite_state_is_a_validation_error(self, capsys):
+        code = run_cli(
+            ["simulate", "--state", "0.5,0.5,nan", "--seed", "1", "--samples", "10"]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestUniversalExact:
     def test_single_query(self, tmp_path, capsys):
@@ -173,6 +180,13 @@ class TestUniversalExact:
     def test_position_required_without_table(self, capsys):
         assert run_cli(["universal-exact", "--cells", "6"]) == 2
 
+    @pytest.mark.parametrize("cells", ["1", "26"])
+    def test_table_size_out_of_range(self, cells, capsys):
+        assert run_cli(["universal-exact", "--cells", cells, "--table"]) == 2
+        captured = capsys.readouterr()
+        assert "table size" in captured.err
+        assert captured.out == ""
+
 
 class TestIdentities:
     def test_table_all_pass(self, tmp_path, capsys):
@@ -183,6 +197,12 @@ class TestIdentities:
         assert len(payload["rows"]) == 41
         assert all(r["equal_a"] and r["equal_b"] for r in payload["rows"])
         assert "yes" in capsys.readouterr().out
+
+    def test_negative_n_max(self, capsys):
+        assert run_cli(["identities", "--n-max", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "non-negative" in captured.err
+        assert captured.out == ""
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "ids.csv"
@@ -309,6 +329,9 @@ class TestDiracLimitCommand:
         assert code == 2
 
 
+SIMULATE = ["simulate", "--state", "0.5,0.5", "--seed", "1"]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -344,6 +367,33 @@ class TestConfigFile:
         )
         assert code == 0
         assert read_json(out)["n_samples"] == 10000
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            (SIMULATE, {"threads": "4"}, "threads"),
+            (SIMULATE, {"samples": "1000"}, "samples"),
+            (SIMULATE, {"samples": True}, "samples"),
+            (["simulate", "--state", "0.5,0.5"], {"seed": 1.5}, "seed"),
+            (["simulate", "--seed", "1"], {"state": [0.5, 0.5]}, "state"),
+            (["identities"], {"format": "xml"}, "format"),
+            (["universal-exact", "--cells", "4"], {"table": "yes"}, "table"),
+            (["approximate"], {"position": "0.5"}, "position"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type(
+        self, tmp_path, capsys, command, config, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(command + ["--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_config_accepts_an_integer_for_a_float_option(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"position": 1, "m": 8, "ell": 8}))
+        out = tmp_path / "a.json"
+        assert run_cli(["approximate", "--config", str(cfg), "--out", str(out)]) == 0
 
     def test_missing_config_file(self, capsys):
         code = run_cli(

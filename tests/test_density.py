@@ -131,6 +131,12 @@ class TestDiracMixture:
         probs = rho.region_probabilities(x)
         assert probs == [Fraction(1, 2), 0, Fraction(1, 2)]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_are_rejected(self, bad):
+        pts = [BarycentricState([0.5, 0.5]), BarycentricState([1, 0])]
+        with pytest.raises(ValueError, match="finite"):
+            DiracMixtureDensity(pts, weights=[bad, 1])
+
 
 SAMPLER_CASES = [
     lambda: (UniformDensity(3), 3),

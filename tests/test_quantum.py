@@ -32,6 +32,11 @@ def test_normalization_is_enforced():
         QuantumState([0.5, -0.5, 1.0])
 
 
+def test_non_finite_moduli_are_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        QuantumState([np.nan, 1.0])
+
+
 def test_output_sums_to_one():
     rng = np.random.default_rng(3)
     for n in range(2, 7):

@@ -32,6 +32,10 @@ class TestBarycentricState:
         with pytest.raises(ValueError):
             BarycentricState([0.5, 0.6])
 
+    def test_rejects_non_finite_weights(self):
+        with pytest.raises(ValueError, match="finite"):
+            BarycentricState([math.nan, 1.0])
+
     def test_exact_coordinates_are_kept(self):
         s = BarycentricState([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)])
         assert s.exact_coords == (Fraction(1, 3),) * 3

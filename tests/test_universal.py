@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from membranesim import universal
 from membranesim.density import CellularMask
 from membranesim.universal import (
     ElasticConfiguration1D,
@@ -31,6 +32,24 @@ def brute_average(n, i):
         total += Fraction(k_right, k)
         count += 1
     return total / count
+
+
+def brute_recurrence(n, i):
+    """Independent oracle for the enumerated RecurrenceReport fields."""
+    sums = dict.fromkeys(("at_i", "at_i1", "split", "shifted", "difference"), 0)
+    for bits in itertools.product((False, True), repeat=n):
+        if not any(bits):
+            continue
+        k = sum(bits)
+        p_i = Fraction(sum(bits[i:]), k)
+        p_i1 = Fraction(sum(bits[i + 1 :]), k)
+        sums["at_i"] += p_i
+        sums["at_i1"] += p_i1
+        sums["difference"] += p_i1 - p_i
+        if not bits[i]:  # cell i+1 unbreakable
+            sums["split"] += p_i1
+            sums["shifted"] += p_i
+    return sums
 
 
 def config(mask_text, i):
@@ -201,6 +220,33 @@ class TestRecurrenceStep:
                 assert report.unbreakable_split_sum == report.unbreakable_shifted_sum
                 assert report.all_match
 
+    def test_matches_brute_oracle(self):
+        for n in range(3, 9):
+            for i in range(1, n - 1):
+                report = recurrence_step_check(n, i)
+                brute = brute_recurrence(n, i)
+                assert report.sum_at_i == brute["at_i"]
+                assert report.sum_at_i_plus_1 == brute["at_i1"]
+                assert report.unbreakable_split_sum == brute["split"]
+                assert report.unbreakable_shifted_sum == brute["shifted"]
+                assert report.difference_sum == brute["difference"]
+
+    def test_difference_law_flags_a_mask_off_the_law(self, monkeypatch):
+        n, i = 5, 2
+        real_counts = universal._mask_counts
+
+        def moved_one_mask(*args, **kwargs):
+            counts = real_counts(*args, **kwargs).copy()
+            # one mask with k=2, r_i=1, r_{i+1}=0 and bit i set moves to bit 0
+            counts[2, 1, 0, 1] -= 1
+            counts[2, 1, 0, 0] += 1
+            return counts
+
+        monkeypatch.setattr(universal, "_mask_counts", moved_one_mask)
+        report = recurrence_step_check(n, i)
+        assert not report.per_mask_difference_law_holds
+        assert not report.all_match
+
     def test_as_dict_is_json_ready(self):
         import json
 
@@ -229,6 +275,21 @@ class TestReports:
             "uniform": "1/2",
             "equal": True,
         }
+
+    @pytest.mark.parametrize("max_cells", [-1, 0, 1, 25, 26])
+    def test_theorem_report_rejects_sizes_before_enumerating(
+        self, max_cells, monkeypatch
+    ):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated before validating the table size")
+
+        monkeypatch.setattr(universal, "_mask_counts", no_enumeration)
+        with pytest.raises(ValueError, match="table size"):
+            theorem_report(max_cells)
+
+    def test_identity_report_rejects_negative_n_max(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            identity_report(-1)
 
     def test_identity_report(self):
         report = identity_report(12)
