@@ -19,9 +19,8 @@ from .density import (
     Density,
     DiracMixtureDensity,
     IntervalControl,
+    IntervalDensity,
     NotAnalyticError,
-    PredicateControl,
-    TruncatedDensity,
     TruncatedUniformDensity,
     UniformDensity,
     cellular_approximation,
@@ -82,15 +81,14 @@ __all__ = [
     "DiracMixtureDensity",
     "ElasticConfiguration1D",
     "IntervalControl",
+    "IntervalDensity",
     "NotAnalyticError",
     "OutsideSimplexError",
-    "PredicateControl",
     "QuantumState",
     "RecurrenceReport",
     "RegionLabel",
     "RobustnessReport",
     "TransitionEstimate",
-    "TruncatedDensity",
     "TruncatedUniformDensity",
     "UniformDensity",
     "binomial_identity_a",

@@ -7,6 +7,7 @@ whose keys are the long option names with dashes replaced by
 underscores, and each value must have the JSON type of its option
 (integer, number, string, or true/false for a flag); explicit flags
 override config values, config values override built-in defaults.
+The --out path is checked before any work and replaced whole at the end.
 Identical configuration and seed produce byte-identical output files;
 JSON reports carry a schema_version field, floats are written with 17
 significant digits and rationals as "p/q".
@@ -32,6 +33,7 @@ from .simplex import BarycentricState
 from .universal import (
     identity_report,
     theorem_report,
+    transition_of_uniform,
     universal_average_1d,
 )
 
@@ -108,10 +110,24 @@ def _write_output(payload: dict, rows: list[dict], args) -> None:
                 writer.writerow({k: _fmt(v) for k, v in row.items()})
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        # a finished file replaces the old one whole, or not at all
+        tmp = f"{args.out}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, args.out)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out path that cannot be written, before any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(directory, os.W_OK | os.X_OK):
+        raise ValueError(f"--out {path!r} is not a file in a writable directory")
 
 
 def _json_rows(rows: list[dict]) -> list[dict]:
@@ -183,11 +199,6 @@ def _cmd_universal_exact(args) -> int:
     payload = _payload("universal-exact", **_json_rows([row])[0])
     _write_output(payload, [row], args)
     return 0
-
-
-def transition_of_uniform(n: int, i: int, target: str) -> Fraction:
-    p_left = Fraction(n - i, n)
-    return p_left if target == "left" else 1 - p_left
 
 
 def _cmd_identities(args) -> int:
@@ -437,6 +448,8 @@ def _apply_config_and_defaults(args: argparse.Namespace, actions: dict) -> None:
     needs_seed = _STOCHASTIC.get(args.command)
     if needs_seed and needs_seed(args) and args.seed is None:
         raise ValueError("a --seed is mandatory for stochastic commands")
+    if args.out:
+        _check_out(args.out)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,12 @@ general); truncated densities vanish on an experimenter-chosen control
 region; Dirac mixtures are finite point masses. Analytic variants
 expose exact region integrals, every variant exposes sampling.
 
+On the two-outcome segment every breakable zone, cellular or left by a
+control region, is a union of x1 intervals, and one `IntervalDensity`
+with Fraction endpoints validates, samples and integrates it exactly.
+Truncation covers the uniform density, through a control region's
+direct sampler, and Dirac mixtures; there is no rejection fallback.
+
 Orientation of the two-outcome segment: positions are tracked by the
 first barycentric coordinate x1 in [0, 1], growing from vertex 2 (left
 end) to vertex 1 (right end), and cell indices grow left to right. A
@@ -21,12 +27,14 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .simplex import (
+    SUM_TOL,
     BarycentricState,
     from_internal_batch,
     internal_basis,
@@ -37,7 +45,7 @@ from .simplex import (
 
 #: subsample budget per straddling grid cell
 GRID_SUBSAMPLES = 256
-#: rounds of batched rejection before giving up
+#: rounds of grid-cell rejection before giving up
 MAX_REJECTION_ROUNDS = 10_000
 
 
@@ -150,46 +158,74 @@ class UniformDensity(Density):
         return float(x.coords[outcome - 1])
 
 
-class Cellular1DDensity(Density):
-    """Indicator density on n equal cells of the two-outcome segment.
+class IntervalDensity(Density):
+    """Flat density on a finite union of x1 intervals of the two-outcome
+    segment.
 
-    The density is 1/(n_breakable * sqrt(2)/n_cells) on breakable cells
-    and zero elsewhere; in x1 units each cell is [j/n, (j+1)/n). Region
-    integrals are exact Fractions whenever the state carries exact
-    coordinates.
+    `intervals` are (lo, hi) pairs with 0 <= lo < hi <= 1 that may touch
+    but not overlap; they are sorted here and kept as Fractions (a float
+    endpoint converts exactly). The region integral of outcome 1 is the
+    breakable length below x1 over the total length, computed in
+    Fractions: an exact state gets a Fraction, a float state the float
+    nearest to the same rational, its x1 taken exactly.
     """
 
-    def __init__(self, mask: CellularMask):
-        self.mask = mask
+    def __init__(self, intervals):
+        ivals, last = [], 0
+        for lo, hi in sorted((lo, hi) for lo, hi in intervals):
+            if not 0 <= lo < hi <= 1:
+                raise ValueError(f"bad interval ({lo}, {hi})")
+            if lo < last:
+                raise ValueError("breakable intervals must be disjoint")
+            ivals.append((Fraction(lo), Fraction(hi)))
+            last = hi
+        if not ivals:
+            raise ValueError("need at least one breakable interval")
         self.n_outcomes = 2
-        self._breakable_idx = np.flatnonzero(np.array(mask.breakable))
+        self.intervals = tuple(ivals)
+        self.length = sum(hi - lo for lo, hi in ivals)
+        self._los = np.array([float(lo) for lo, _ in ivals])
+        self._lengths = np.array([float(hi) - float(lo) for lo, hi in ivals])
+        self._weights = self._lengths / self._lengths.sum()
 
     def sample_batch(self, rng, size):
-        n = self.mask.n_cells
-        cells = self._breakable_idx[rng.integers(0, len(self._breakable_idx), size)]
-        x1 = (cells + rng.random(size)) / n
+        idx = rng.choice(len(self._los), size=size, p=self._weights)
+        x1 = self._los[idx] + rng.random(size) * self._lengths[idx]
         return np.column_stack([x1, 1.0 - x1])
 
     def region_probability(self, x, outcome):
         self._check_state(x, outcome)
+        exact = x.exact_coords is not None
+        x1 = x.exact_coords[0] if exact else Fraction(float(x.coords[0]))
+        below = sum(max(0, min(hi, x1) - lo) for lo, hi in self.intervals)
+        p_region_1 = below / self.length
+        p = p_region_1 if outcome == 1 else 1 - p_region_1
+        return p if exact else float(p)
+
+
+class Cellular1DDensity(IntervalDensity):
+    """Indicator density on n equal cells of the two-outcome segment.
+
+    The density is 1/(n_breakable * sqrt(2)/n_cells) on breakable cells
+    and zero elsewhere; in x1 units each cell is [j/n, (j+1)/n), and
+    each maximal run of breakable cells is one interval of the union.
+    """
+
+    def __init__(self, mask: CellularMask):
+        n = mask.n_cells
+        bits = np.array(mask.breakable, dtype=np.int8)
+        # runs of breakable cells start where the zero-padded bits rise
+        edges = np.flatnonzero(np.diff(bits, prepend=0, append=0)).reshape(-1, 2)
+        super().__init__([(Fraction(int(a), n), Fraction(int(b), n)) for a, b in edges])
+        self.mask = mask
+        self._breakable_idx = np.flatnonzero(bits)
+
+    def sample_batch(self, rng, size):
+        # equal cells: an integer cell draw, cheaper than the weighted choice
         n = self.mask.n_cells
-        if x.exact_coords is not None:
-            x1 = x.exact_coords[0]
-            cell = Fraction(1, n)
-            zero = Fraction(0)
-        else:
-            x1 = float(x.coords[0])
-            cell = 1.0 / n
-            zero = 0.0
-        overlap = zero
-        for j in self._breakable_idx:
-            lo = int(j) * cell
-            seg = x1 - lo
-            if seg <= 0:
-                break
-            overlap += seg if seg < cell else cell
-        p_region_1 = overlap / (self.mask.n_breakable * cell)
-        return p_region_1 if outcome == 1 else 1 - p_region_1
+        cells = self._breakable_idx[rng.integers(0, len(self._breakable_idx), size)]
+        x1 = (cells + rng.random(size)) / n
+        return np.column_stack([x1, 1.0 - x1])
 
 
 class DiracMixtureDensity(Density):
@@ -253,12 +289,12 @@ class ControlRegion(abc.ABC):
         """Mask of points (rows of barycentric coordinates) lying in the
         unbreakable control region."""
 
-    def sample_breakable_batch(self, rng, size) -> np.ndarray | None:
-        """Direct sampler for the breakable zone, or None when only
-        rejection from the uniform density is available."""
-        return None
+    @abc.abstractmethod
+    def sample_breakable_batch(self, rng, size) -> np.ndarray:
+        """Draw `size` points uniformly from the breakable zone, as rows
+        of barycentric coordinates."""
 
-    def breakable_intervals(self) -> list[tuple[float, float]]:
+    def breakable_intervals(self) -> list[tuple]:
         """Breakable zone as disjoint x1 intervals (two outcomes only)."""
         raise NotAnalyticError(
             f"{type(self).__name__} has no interval description"
@@ -383,77 +419,42 @@ class IntervalControl(ControlRegion):
     """Two-outcome control region specified by its breakable x1 intervals.
 
     Covers half-space cuts (a single interval touching an end) and any
-    finite union of disjoint segments; epsilon is the total breakable
-    length since x1 is an affine chart of arc length.
+    finite union of disjoint segments, held as an `IntervalDensity`;
+    epsilon is the exact total breakable length rounded once, since x1
+    is an affine chart of arc length.
     """
 
-    def __init__(self, breakable: list[tuple[float, float]]):
-        ivals = sorted((float(lo), float(hi)) for lo, hi in breakable)
-        if not ivals:
-            raise ValueError("need at least one breakable interval")
-        last = -1.0
-        for lo, hi in ivals:
-            if not 0.0 <= lo < hi <= 1.0:
-                raise ValueError(f"bad interval ({lo}, {hi})")
-            if lo < last:
-                raise ValueError("breakable intervals must be disjoint")
-            last = hi
+    def __init__(self, breakable):
+        self._zone = IntervalDensity(breakable)
         self.n_outcomes = 2
-        self._intervals = ivals
-        self.epsilon = float(sum(hi - lo for lo, hi in ivals))
+        self.epsilon = float(self._zone.length)
 
     @classmethod
     def cut_left(cls, epsilon: float) -> "IntervalControl":
         """Half-space cut: the leftmost fraction 1 - epsilon is controlled."""
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
         return cls([(1.0 - epsilon, 1.0)])
 
     def contains_batch(self, ys):
         x1 = ys[:, 0]
         inside_breakable = np.zeros(len(ys), dtype=bool)
-        for lo, hi in self._intervals:
-            inside_breakable |= (x1 >= lo) & (x1 <= hi)
+        for lo, hi in self._zone.intervals:
+            inside_breakable |= (x1 >= float(lo)) & (x1 <= float(hi))
         return ~inside_breakable
 
     def sample_breakable_batch(self, rng, size):
-        lengths = np.array([hi - lo for lo, hi in self._intervals])
-        idx = rng.choice(len(self._intervals), size=size, p=lengths / lengths.sum())
-        los = np.array([lo for lo, _ in self._intervals])
-        x1 = los[idx] + rng.random(size) * lengths[idx]
-        return np.column_stack([x1, 1.0 - x1])
+        return self._zone.sample_batch(rng, size)
 
     def breakable_intervals(self):
-        return list(self._intervals)
-
-
-class PredicateControl(ControlRegion):
-    """Arbitrary control region given by a membership predicate.
-
-    Only Monte Carlo sampling is supported; `epsilon` must be supplied by
-    the caller and is trusted.
-    """
-
-    def __init__(self, n_outcomes: int, epsilon: float, predicate):
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        self.n_outcomes = n_outcomes
-        self.epsilon = float(epsilon)
-        self._predicate = predicate
-
-    def contains_batch(self, ys):
-        return np.fromiter(
-            (bool(self._predicate(y)) for y in ys), dtype=bool, count=len(ys)
-        )
+        return list(self._zone.intervals)
 
 
 class TruncatedUniformDensity(Density):
     """Uniform density forced to zero on a control region.
 
     The value is (N-1)!/(epsilon * sqrt(N)) on the breakable zone and
-    zero on the control region. Region integrals are exact for two
-    outcomes whenever the geometry has an interval description;
-    elsewhere Monte Carlo is the route.
+    zero on the control region; samples come from the region's direct
+    sampler. Region integrals are exact for two outcomes, through the
+    geometry's interval description; elsewhere Monte Carlo is the route.
     """
 
     def __init__(self, control: ControlRegion):
@@ -462,76 +463,21 @@ class TruncatedUniformDensity(Density):
         self.epsilon = control.epsilon
 
     def sample_batch(self, rng, size):
-        direct = self.control.sample_breakable_batch(rng, size)
-        if direct is not None:
-            return direct
-        return _rejection_sample(
-            UniformDensity(self.n_outcomes),
-            lambda ys: ~self.control.contains_batch(ys),
-            rng,
-            size,
-        )
+        return self.control.sample_breakable_batch(rng, size)
 
     def region_probability(self, x, outcome):
         self._check_state(x, outcome)
-        if self.n_outcomes != 2:
-            raise NotAnalyticError(
-                "exact truncated-uniform integrals cover two outcomes only"
-            )
-        intervals = self.control.breakable_intervals()
-        x1 = float(x.coords[0])
-        total = sum(hi - lo for lo, hi in intervals)
-        below = sum(max(0.0, min(hi, x1) - lo) for lo, hi in intervals)
-        p_region_1 = below / total
-        return p_region_1 if outcome == 1 else 1.0 - p_region_1
-
-
-class TruncatedDensity(Density):
-    """Truncation of an arbitrary base density by rejection.
-
-    Draws from the base density are kept when they avoid the control
-    region, which renormalises the base on the breakable zone without
-    needing its controlled mass in closed form.
-    """
-
-    def __init__(self, base: Density, control: ControlRegion):
-        if base.n_outcomes != control.n_outcomes:
-            raise ValueError("control region dimension does not match density")
-        self.base = base
-        self.control = control
-        self.n_outcomes = base.n_outcomes
-
-    def sample_batch(self, rng, size):
-        return _rejection_sample(
-            self.base,
-            lambda ys: ~self.control.contains_batch(ys),
-            rng,
-            size,
-        )
-
-
-def _rejection_sample(base: Density, accept, rng, size) -> np.ndarray:
-    out = np.empty((size, base.n_outcomes))
-    filled = 0
-    for _ in range(MAX_REJECTION_ROUNDS):
-        want = size - filled
-        draw = base.sample_batch(rng, max(want, 32))
-        good = draw[accept(draw)][:want]
-        out[filled : filled + len(good)] = good
-        filled += len(good)
-        if filled == size:
-            return out
-    raise RuntimeError(
-        "rejection sampling failed; the breakable zone carries almost no mass"
-    )
+        zone = IntervalDensity(self.control.breakable_intervals())
+        return zone.region_probability(x, outcome)
 
 
 def truncate(rho: Density, control: ControlRegion) -> Density:
     """Zero out `rho` on the control region and renormalise.
 
     With epsilon = 1 the control region is empty and `rho` is returned
-    unchanged. A control region absorbing all of a Dirac mixture's mass
-    raises ValueError (degenerate truncation).
+    unchanged. Only uniform densities and Dirac mixtures truncate; any
+    other density, or a control region absorbing all of a Dirac
+    mixture's mass (degenerate truncation), raises ValueError.
     """
     if rho.n_outcomes != control.n_outcomes:
         raise ValueError("control region dimension does not match density")
@@ -549,7 +495,10 @@ def truncate(rho: Density, control: ControlRegion) -> Density:
         points = [p for p, k in zip(rho.points, keep) if k]
         weights = [w for w, k in zip(rho.weights, keep) if k]
         return DiracMixtureDensity(points, weights)
-    return TruncatedDensity(rho, control)
+    raise ValueError(
+        f"cannot truncate {type(rho).__name__}: only uniform densities and "
+        "Dirac mixtures have a truncation"
+    )
 
 
 class CellularGridDensity(Density):
@@ -726,40 +675,70 @@ def density_from_spec(spec, n_outcomes: int | None = None) -> Density:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("density spec must be a dict with a 'type' tag")
     kind = spec["type"]
+    if n_outcomes is None and kind in ("uniform", "grid", "truncated-uniform"):
+        raise ValueError(f"{kind} density needs the number of outcomes")
     if kind == "uniform":
-        if n_outcomes is None:
-            raise ValueError("uniform density needs the number of outcomes")
         return UniformDensity(n_outcomes)
     if kind == "cellular1d":
-        return Cellular1DDensity(CellularMask.from_string(spec["mask"]))
+        mask = _spec_value(spec, "mask", str, "a string of 'b'/'u' cells")
+        return Cellular1DDensity(CellularMask.from_string(mask))
     if kind == "dirac":
-        points = [BarycentricState(p) for p in spec["points"]]
-        return DiracMixtureDensity(points, spec.get("weights"))
+        points = _spec_value(spec, "points", [[numbers.Real]], "a list of points")
+        weights = _spec_value(
+            spec, "weights", [numbers.Real], "a list of numbers", optional=True
+        )
+        return DiracMixtureDensity([BarycentricState(p) for p in points], weights)
     if kind == "grid":
-        if n_outcomes is None:
-            raise ValueError("grid density needs the number of outcomes")
-        return CellularGridDensity(
-            n_outcomes, int(spec["resolution"]), spec.get("mask")
+        resolution = _spec_value(spec, "resolution", numbers.Integral, "an integer")
+        mask = _spec_value(
+            spec, "mask", [(bool, numbers.Integral)], "a list of flags", optional=True
         )
+        return CellularGridDensity(n_outcomes, resolution, mask)
     if kind == "truncated-uniform":
-        if n_outcomes is None:
-            raise ValueError("truncated density needs the number of outcomes")
-        control = control_from_spec(
-            spec["control"], n_outcomes, float(spec["epsilon"])
-        )
+        epsilon = float(_spec_value(spec, "epsilon", numbers.Real, "a number"))
+        control = control_from_spec(spec["control"], n_outcomes, epsilon)
         return truncate(UniformDensity(n_outcomes), control)
     raise ValueError(f"unknown density type {kind!r}")
 
 
 def control_from_spec(spec, n_outcomes: int, epsilon: float) -> ControlRegion:
+    """Build a control region from its tagged dictionary. An interval
+    region must have total breakable length `epsilon` within SUM_TOL."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("control spec must be a dict with a 'type' tag")
     kind = spec["type"]
     if kind == "centroid":
         return CentroidNeighborhood(n_outcomes, epsilon)
     if kind == "balls":
-        centers = [BarycentricState(c) for c in spec["centers"]]
-        return BallComplement(centers, epsilon)
+        centers = _spec_value(spec, "centers", [[numbers.Real]], "a list of points")
+        return BallComplement([BarycentricState(c) for c in centers], epsilon)
     if kind == "intervals":
-        return IntervalControl([tuple(iv) for iv in spec["breakable"]])
+        pairs = _spec_value(spec, "breakable", [[numbers.Real]], "[lo, hi] pairs")
+        control = IntervalControl(pairs)
+        if abs(control.epsilon - epsilon) > SUM_TOL:
+            raise ValueError(
+                f"epsilon {epsilon!r} disagrees with the breakable length "
+                f"{control.epsilon!r} of the intervals"
+            )
+        return control
     raise ValueError(f"unknown control region type {kind!r}")
+
+
+def _spec_value(spec: dict, key: str, kind, expected: str, optional=False):
+    """`spec[key]` checked against `kind`: a type or tuple of types, or
+    [kind] for a list of such values, where JSON true/false matches only
+    bool. An optional key may be absent or null and then gives None."""
+
+    def matches(value, kind) -> bool:
+        if isinstance(kind, list):
+            return isinstance(value, (list, tuple)) and all(
+                matches(v, kind[0]) for v in value
+            )
+        if isinstance(value, bool):
+            return bool in (kind if isinstance(kind, tuple) else (kind,))
+        return isinstance(value, kind)
+
+    value = spec.get(key) if optional else spec[key]
+    if not ((optional and value is None) or matches(value, kind)):
+        raise ValueError(f"spec key {key!r} must be {expected}, got {value!r}")
+    return value

@@ -260,8 +260,8 @@ def recurrence_step_check(n: int, i: int) -> RecurrenceReport:
     unbreakable_split = _per_k_total(per_k(r_i1 * (1 - bit)))
     unbreakable_shifted = _per_k_total(per_k(r_i * (1 - bit)))
     difference = -_per_k_total(per_k(bit))
-    closed_i = total * Fraction(n - i, n)
-    closed_i1 = total * Fraction(n - i - 1, n)
+    closed_i = total * transition_of_uniform(n, i)
+    closed_i1 = total * transition_of_uniform(n, i + 1)
     closed_diff = -Fraction(total, n)
     binom_nm1 = -sum(
         (Fraction(comb(n - 1, k), k + 1) for k in range(n)), Fraction(0)
@@ -302,6 +302,13 @@ def recurrence_step_check(n: int, i: int) -> RecurrenceReport:
     )
 
 
+def transition_of_uniform(n: int, i: int, target: str = "left") -> Fraction:
+    """All-breakable collapse probability from contact point i: (n - i)/n left."""
+    _check_target(target)
+    p_left = Fraction(n - i, n)
+    return p_left if target == "left" else 1 - p_left
+
+
 def theorem_report(max_cells: int) -> dict:
     """JSON-ready table of mask averages versus uniform values for every
     cell count up to `max_cells` and every interior position."""
@@ -311,7 +318,7 @@ def theorem_report(max_cells: int) -> dict:
     for n in range(2, max_cells + 1):
         for i in range(1, n):
             avg = universal_average_1d(n, i)
-            uniform = Fraction(n - i, n)
+            uniform = transition_of_uniform(n, i)
             rows.append(
                 {
                     "n_cells": n,

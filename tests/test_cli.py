@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from membranesim import cli
 from membranesim.cli import main
 
 
@@ -153,6 +154,87 @@ class TestSimulate:
         )
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "state, spec, key",
+        [
+            ("0.5,0.5", {"type": "cellular1d", "mask": 5}, "mask"),
+            ("0.5,0.5", {"type": "dirac", "points": 5}, "points"),
+            (
+                "0.5,0.5",
+                {"type": "dirac", "points": [[0.5, 0.5]], "weights": ["a"]},
+                "weights",
+            ),
+            ("0.2,0.3,0.5", {"type": "grid", "resolution": 4, "mask": 5}, "mask"),
+            (
+                "0.5,0.5",
+                {
+                    "type": "truncated-uniform",
+                    "epsilon": 0.5,
+                    "control": {"type": "intervals", "breakable": 5},
+                },
+                "breakable",
+            ),
+        ],
+    )
+    def test_malformed_density_spec_is_a_validation_error(
+        self, capsys, state, spec, key
+    ):
+        code = run_cli(
+            ["simulate", "--state", state, "--density", json.dumps(spec)]
+            + ["--seed", "1", "--samples", "10"]
+        )
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_interval_epsilon_must_match_the_intervals(self, capsys):
+        spec = {
+            "type": "truncated-uniform",
+            "epsilon": 0.5,
+            "control": {"type": "intervals", "breakable": [[0.1, 0.2]]},
+        }
+        code = run_cli(
+            ["simulate", "--state", "0.5,0.5", "--density", json.dumps(spec)]
+            + ["--seed", "1", "--samples", "10"]
+        )
+        assert code == 2
+        assert "disagrees" in capsys.readouterr().err
+
+
+class TestOutPath:
+    def test_missing_directory_fails_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("estimate ran before --out was checked")
+
+        monkeypatch.setattr(cli, "estimate", must_not_run)
+        out = tmp_path / "missing" / "x.csv"
+        code = run_cli(
+            ["simulate", "--state", "0.5,0.5", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "writable directory" in capsys.readouterr().err
+
+    def test_existing_file_is_replaced_whole(self, tmp_path):
+        out = tmp_path / "i.json"
+        out.write_text("stale line\n" * 10_000)
+        assert run_cli(["identities", "--n-max", "3", "--out", str(out)]) == 0
+        assert read_json(out)["n_max"] == 3
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "i.json"
+        out.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        assert run_cli(["identities", "--n-max", "3", "--out", str(out)]) == 3
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestUniversalExact:

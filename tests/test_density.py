@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from membranesim.density import (
@@ -13,17 +15,16 @@ from membranesim.density import (
     CentroidNeighborhood,
     DiracMixtureDensity,
     IntervalControl,
+    IntervalDensity,
     NotAnalyticError,
-    PredicateControl,
-    TruncatedDensity,
     TruncatedUniformDensity,
     UniformDensity,
     cellular_approximation,
     density_from_spec,
     truncate,
 )
-from membranesim.montecarlo import estimate
-from membranesim.simplex import BarycentricState, classify_batch
+from membranesim.montecarlo import BLOCK_SIZE, estimate
+from membranesim.simplex import SUM_TOL, BarycentricState, classify_batch
 
 
 def random_state(rng, n):
@@ -227,21 +228,10 @@ class TestTruncation:
         with pytest.raises(ValueError, match="degenerate"):
             truncate(DiracMixtureDensity(pts), IntervalControl([(0.5, 0.6)]))
 
-    def test_generic_wrapper_rejects_control_region(self):
+    def test_other_densities_have_no_truncation(self):
         base = Cellular1DDensity(CellularMask.from_string("bb"))
-        control = IntervalControl([(0.0, 0.25)])  # breakable zone [0, 0.25]
-        rho = truncate(base, control)
-        assert isinstance(rho, TruncatedDensity)
-        draws = rho.sample_batch(np.random.default_rng(1), 2000)
-        assert draws[:, 0].max() <= 0.25 + 1e-12
-
-    def test_predicate_control_is_mc_only(self):
-        control = PredicateControl(3, 0.5, lambda y: y[0] > 0.5)
-        rho = truncate(UniformDensity(3), control)
-        draws = rho.sample_batch(np.random.default_rng(2), 500)
-        assert draws[:, 0].max() <= 0.5
-        with pytest.raises(NotAnalyticError):
-            rho.region_probability(BarycentricState([1 / 3, 1 / 3, 1 / 3]), 1)
+        with pytest.raises(ValueError, match="cannot truncate"):
+            truncate(base, IntervalControl([(0.0, 0.25)]))
 
 
 class TestControlRegions:
@@ -278,6 +268,19 @@ class TestControlRegions:
             IntervalControl([(0.2, 0.1)])
         with pytest.raises(ValueError):
             IntervalControl([(0.0, 0.5), (0.4, 0.8)])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                IntervalControl([(0.0, bad)])
+
+    def test_ball_touching_an_end_has_a_region_integral(self):
+        ctrl = BallComplement([BarycentricState([0.85, 1 - 0.85])], 0.3)
+        ((lo, hi),) = ctrl.breakable_intervals()
+        assert hi == 1.0
+        x = BarycentricState([0.9, 0.1])
+        p = TruncatedUniformDensity(ctrl).region_probability(x, 1)
+        lo, hi = Fraction(lo), Fraction(hi)
+        assert p == float((Fraction(0.9) - lo) / (hi - lo))
+        assert p == pytest.approx(2 / 3)
 
 
 class TestCellularApproximation:
@@ -397,3 +400,164 @@ class TestDensitySpec:
             density_from_spec({"mask": "bb"}, 2)
         with pytest.raises(ValueError):
             density_from_spec("uniform")
+
+
+def cell_oracle(bits, x1: Fraction) -> Fraction:
+    """Breakable length below x1 over the breakable total, summed cell by
+    cell over n equal cells, in Fractions."""
+    n = len(bits)
+    cell = Fraction(1, n)
+    below = sum(
+        (min(max(x1 - j * cell, 0), cell) for j, b in enumerate(bits) if b),
+        Fraction(0),
+    )
+    return below / (sum(bits) * cell)
+
+
+@st.composite
+def grid_zones(draw):
+    """A nonzero mask of n equal cells and its breakable cells as sorted
+    intervals on the grid, each run of cells cut at random into touching
+    pieces."""
+    bits = draw(st.lists(st.booleans(), min_size=1, max_size=24).filter(any))
+    n = len(bits)
+    cuts = draw(st.sets(st.integers(0, n)))
+    runs = []
+    for j, b in enumerate(bits):
+        if b and runs and runs[-1][1] == j and j not in cuts:
+            runs[-1][1] = j + 1
+        elif b:
+            runs.append([j, j + 1])
+    return bits, [(Fraction(lo, n), Fraction(hi, n)) for lo, hi in runs]
+
+
+two_outcome_states = st.one_of(
+    st.fractions(0, 1, max_denominator=2000).map(
+        lambda f: BarycentricState([f, 1 - f])
+    ),
+    st.floats(0, 1).map(lambda u: BarycentricState([u, 1.0 - u])),
+)
+
+
+def exact_x1(x) -> Fraction:
+    if x.exact_coords is not None:
+        return x.exact_coords[0]
+    return Fraction(float(x.coords[0]))
+
+
+def expected_pair(x, p1: Fraction) -> list:
+    """The exact pair for an exact state, its correctly rounded floats
+    otherwise."""
+    pair = [p1, 1 - p1]
+    return pair if x.exact_coords is not None else [float(p) for p in pair]
+
+
+class TestIntervalIntegralOracle:
+    @given(grid_zones(), two_outcome_states)
+    @settings(max_examples=300, deadline=None)
+    def test_interval_families_match_the_cell_oracle(self, zone, x):
+        bits, intervals = zone
+        expected = expected_pair(x, cell_oracle(bits, exact_x1(x)))
+        kind = Fraction if x.exact_coords is not None else float
+        for rho in (
+            IntervalDensity(intervals),
+            Cellular1DDensity(CellularMask(tuple(bits))),
+            TruncatedUniformDensity(IntervalControl(intervals)),
+        ):
+            got = rho.region_probabilities(x)
+            assert got == expected
+            assert all(type(p) is kind for p in got)
+
+    @given(st.floats(0.01, 1.0), two_outcome_states)
+    @settings(max_examples=200, deadline=None)
+    def test_centroid_zone_rounds_the_exact_integral(self, eps, x):
+        control = CentroidNeighborhood(2, eps)
+        ((lo, hi),) = control.breakable_intervals()
+        lo, hi = Fraction(lo), Fraction(hi)
+        p1 = (min(max(exact_x1(x), lo), hi) - lo) / (hi - lo)
+        rho = TruncatedUniformDensity(control)
+        assert rho.region_probabilities(x) == expected_pair(x, p1)
+
+
+SPEC_CASES = [
+    (3, "uniform"),
+    (2, {"type": "cellular1d", "mask": "bubbuub"}),
+    (
+        3,
+        {
+            "type": "dirac",
+            "points": [[0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6]],
+            "weights": [5, 3, 2],
+        },
+    ),
+    (3, {"type": "grid", "resolution": 4}),
+    (3, {"type": "grid", "resolution": 3, "mask": [1, 0, 1, 1, 0, 0, 1, 0, 1]}),
+    (4, {"type": "truncated-uniform", "epsilon": 0.3, "control": {"type": "centroid"}}),
+    (2, {"type": "truncated-uniform", "epsilon": 0.4, "control": {"type": "centroid"}}),
+    (
+        3,
+        {
+            "type": "truncated-uniform",
+            "epsilon": 0.1,
+            "control": {"type": "balls", "centers": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]},
+        },
+    ),
+    (
+        2,
+        {
+            "type": "truncated-uniform",
+            "epsilon": 0.2,
+            "control": {"type": "balls", "centers": [[0.3, 0.7], [0.6, 0.4]]},
+        },
+    ),
+    (
+        2,
+        {
+            "type": "truncated-uniform",
+            "epsilon": 0.3,
+            "control": {"type": "intervals", "breakable": [[0.1, 0.2], [0.5, 0.7]]},
+        },
+    ),
+]
+
+
+def zone_of(rho):
+    """Breakable x1 intervals of a two-outcome interval family, else None."""
+    if isinstance(rho, IntervalDensity):
+        return rho.intervals
+    if isinstance(rho, TruncatedUniformDensity) and rho.n_outcomes == 2:
+        return rho.control.breakable_intervals()
+    return None
+
+
+class TestSpecFamilies:
+    @pytest.mark.parametrize("case", range(len(SPEC_CASES)))
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 400))
+    @settings(max_examples=25, deadline=None)
+    def test_samples_lie_on_the_simplex_and_in_the_zone(self, case, seed, size):
+        n, spec = SPEC_CASES[case]
+        rho = density_from_spec(spec, n)
+        draws = rho.sample_batch(np.random.default_rng(seed), size)
+        assert draws.shape == (size, n)
+        assert draws.min() >= 0.0
+        assert np.abs(draws.sum(axis=1) - 1.0).max() <= SUM_TOL
+        zone = zone_of(rho)
+        if zone is not None:
+            x1 = draws[:, 0]
+            inside = np.zeros(size, dtype=bool)
+            for lo, hi in zone:
+                inside |= (x1 >= float(lo)) & (x1 <= float(hi))
+            assert inside.all()
+
+    @pytest.mark.parametrize("case", range(len(SPEC_CASES)))
+    def test_counts_do_not_depend_on_the_thread_count(self, case):
+        n, spec = SPEC_CASES[case]
+        rho = density_from_spec(spec, n)
+        x = random_state(np.random.default_rng(case), n)
+        runs = [
+            estimate(x, rho, 2 * BLOCK_SIZE + 123, seed=11, threads=t)
+            for t in (1, 2, 4)
+        ]
+        for run in runs[1:]:
+            assert np.array_equal(run.counts, runs[0].counts)
+            assert run.boundary_hits == runs[0].boundary_hits
