@@ -35,7 +35,9 @@ import numpy as np
 
 from .simplex import (
     SUM_TOL,
+    TIE_RTOL,
     BarycentricState,
+    classify_batch,
     from_internal_batch,
     internal_basis,
     region_of,
@@ -47,6 +49,8 @@ from .simplex import (
 GRID_SUBSAMPLES = 256
 #: rounds of grid-cell rejection before giving up
 MAX_REJECTION_ROUNDS = 10_000
+#: most lattice points a grid density maps at once
+_CHUNK_POINTS = 2**16
 
 
 class NotAnalyticError(Exception):
@@ -109,10 +113,6 @@ class Density(abc.ABC):
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` breaking points, returned as a (size, N) array of
         barycentric coordinates. Deterministic given the generator state."""
-
-    def sample(self, rng: np.random.Generator) -> BarycentricState:
-        """Draw a single breaking point."""
-        return BarycentricState(self.sample_batch(rng, 1)[0])
 
     def region_probability(self, x: BarycentricState, outcome: int):
         """Integral of the density over collapse region `outcome` of state
@@ -353,8 +353,9 @@ class BallComplement(ControlRegion):
 
     Each of the k balls is centred at one of the given points and has
     measure fraction epsilon/k of the simplex. Construction fails when a
-    ball leaves the simplex or two balls overlap, so shrinking epsilon
-    afterwards always stays valid. Distances are Euclidean between
+    ball leaves the simplex (by more than TIE_RTOL of its radius, so a
+    ball touching a face is accepted) or two balls overlap, so shrinking
+    epsilon afterwards always stays valid. Distances are Euclidean between
     barycentric coordinate vectors, which equal internal-chart distances.
     """
 
@@ -378,7 +379,7 @@ class BallComplement(ControlRegion):
         self._centers_z = np.array([to_internal_coords(c) for c in centers])
         face_scale = math.sqrt(1.0 - 1.0 / n)
         for c in centers:
-            if float(min(c.coords)) / face_scale < self.radius:
+            if float(min(c.coords)) / face_scale < self.radius * (1.0 - TIE_RTOL):
                 raise ValueError(
                     f"ball of radius {self.radius:.4g} around {c!r} leaves the simplex"
                 )
@@ -407,12 +408,11 @@ class BallComplement(ControlRegion):
     def breakable_intervals(self):
         if self.n_outcomes != 2:
             raise NotAnalyticError("interval description needs two outcomes")
-        # x1 distance = euclidean distance / sqrt(2) on the segment
+        # x1 distance = euclidean distance / sqrt(2) on the segment; a
+        # ball touching an end may overshoot it by rounding
         half = self.radius / math.sqrt(2.0)
-        return [
-            (float(c.coords[0]) - half, float(c.coords[0]) + half)
-            for c in sorted(self.centers, key=lambda c: float(c.coords[0]))
-        ]
+        x1s = sorted(float(c.coords[0]) for c in self.centers)
+        return [(max(0.0, x1 - half), min(1.0, x1 + half)) for x1 in x1s]
 
 
 class IntervalControl(ControlRegion):
@@ -511,9 +511,10 @@ class CellularGridDensity(Density):
     corners decide), estimated with a fixed stratified lattice of
     GRID_SUBSAMPLES points for straddling cells. Cells outside the
     simplex carry weight zero whatever the mask says. Region integrals
-    attribute straddling cells fractionally with the same lattice; they
-    are approximations meant for discretisation demos, not for exactness
-    claims.
+    are lattice count ratios: the lattice points of breakable cells
+    inside the simplex that classify to the outcome, over all such
+    points. They are approximations meant for discretisation demos, not
+    for exactness claims.
     """
 
     def __init__(self, n_outcomes: int, resolution: int, mask=None):
@@ -526,10 +527,7 @@ class CellularGridDensity(Density):
         d = n_outcomes - 1
         vertices_z = internal_basis(n_outcomes)[:-1, :].T  # vertex j = row j
         lo = vertices_z.min(axis=0)
-        hi = vertices_z.max(axis=0)
-        self._box_lo = lo
-        self._box_hi = hi
-        self._widths = (hi - lo) / resolution
+        self._widths = (vertices_z.max(axis=0) - lo) / resolution
         n_cells = resolution**d
         if mask is None:
             breakable = np.ones(n_cells, dtype=bool)
@@ -540,50 +538,49 @@ class CellularGridDensity(Density):
             if not breakable.any():
                 raise ValueError("a mask needs at least one breakable cell")
         self.mask = breakable
+        # cell c sits at (c % r, c // r % r, ...) along the axes
+        index = np.unravel_index(np.arange(n_cells), (resolution,) * d, order="F")
+        self._origins = lo + np.stack(index, axis=1) * self._widths
         side = max(2, math.ceil(GRID_SUBSAMPLES ** (1.0 / d)))
-        self._lattice = _unit_lattice(d, side)
-        self._corners = _unit_lattice(d, 2, midpoints=False)
-        self._weights = np.array(
-            [self._overlap_fraction(c) for c in range(n_cells)]
-        ) * float(np.prod(self._widths))
+        self._lattice = _unit_lattice((np.arange(side) + 0.5) / side, d)
+        corners = _unit_lattice([0, 1], d)
+        overlap = np.zeros(n_cells)
+        straddling = []
+        for cells, ys in self._cell_chunks(corners, np.arange(n_cells)):
+            inside = ys.min(axis=(1, 2)) >= 0.0
+            outside = (ys.max(axis=1) < 0.0).any(axis=1)
+            overlap[cells[inside]] = 1.0
+            straddling.append(cells[~inside & ~outside])
+        for cells, ys in self._cell_chunks(self._lattice, np.concatenate(straddling)):
+            overlap[cells] = (ys.min(axis=2) >= 0.0).mean(axis=1)
+        self._weights = overlap * float(np.prod(self._widths))
         total = float(self._weights[breakable].sum())
         if total <= 0.0:
             raise ValueError("no breakable cell intersects the simplex")
-        self._total_breakable = total
+        self._cells = np.flatnonzero(breakable & (self._weights > 0.0))
+        self._probs = self._weights[self._cells] / total
 
-    def _cell_origin(self, cell: int) -> np.ndarray:
-        d = self.n_outcomes - 1
-        idx = np.empty(d, dtype=int)
-        rem = cell
-        for axis in range(d):
-            idx[axis] = rem % self.resolution
-            rem //= self.resolution
-        return self._box_lo + idx * self._widths
+    def _cell_points(self, rel: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Barycentric coordinates, shape (len(cells), len(rel), N), of
+        the points at unit-box offsets `rel` within each of `cells`."""
+        z = self._origins[cells][:, None, :] + rel * self._widths
+        return from_internal_batch(z, self.n_outcomes)
 
-    def _cell_points(self, cell: int, rel: np.ndarray) -> np.ndarray:
-        return self._cell_origin(cell) + rel * self._widths
-
-    def _overlap_fraction(self, cell: int) -> float:
-        corners = self._cell_points(cell, self._corners)
-        ys = from_internal_batch(corners, self.n_outcomes)
-        if ys.min() >= 0.0:
-            return 1.0
-        if (ys.max(axis=0) < 0.0).any():
-            return 0.0
-        pts = self._cell_points(cell, self._lattice)
-        ys = from_internal_batch(pts, self.n_outcomes)
-        return float((ys.min(axis=1) >= 0.0).mean())
+    def _cell_chunks(self, rel, cells):
+        """`_cell_points` over `cells` in chunks of at most _CHUNK_POINTS
+        points (at least one cell each), as (cells, points) pairs."""
+        step = max(1, _CHUNK_POINTS // len(rel))
+        for start in range(0, len(cells), step):
+            part = cells[start : start + step]
+            yield part, self._cell_points(rel, part)
 
     def sample_batch(self, rng, size):
-        cells = np.flatnonzero(self.mask & (self._weights > 0.0))
-        probs = self._weights[cells] / self._total_breakable
-        chosen = cells[rng.choice(len(cells), size=size, p=probs)]
+        chosen = self._cells[rng.choice(len(self._cells), size=size, p=self._probs)]
         out = np.empty((size, self.n_outcomes))
         pending = np.arange(size)
         for _ in range(MAX_REJECTION_ROUNDS):
             rel = rng.random((len(pending), self.n_outcomes - 1))
-            origins = np.array([self._cell_origin(c) for c in chosen[pending]])
-            z = origins + rel * self._widths
+            z = self._origins[chosen[pending]] + rel * self._widths
             ys = from_internal_batch(z, self.n_outcomes)
             ok = ys.min(axis=1) >= 0.0
             out[pending[ok]] = ys[ok]
@@ -594,30 +591,17 @@ class CellularGridDensity(Density):
 
     def region_probability(self, x, outcome):
         self._check_state(x, outcome)
-        from .simplex import classify_batch
-
-        attributed = 0.0
-        total = 0.0
-        for cell in np.flatnonzero(self.mask & (self._weights > 0.0)):
-            pts = self._cell_points(cell, self._lattice)
-            ys = from_internal_batch(pts, self.n_outcomes)
-            inside = ys.min(axis=1) >= 0.0
-            if not inside.any():
-                continue
-            outcomes, _ = classify_batch(ys[inside], x)
-            vol = float(np.prod(self._widths))
-            total += vol * inside.mean()
-            attributed += vol * (
-                (outcomes == outcome - 1).sum() / len(self._lattice)
-            )
-        return attributed / total
+        hits = inside = 0
+        for _, ys in self._cell_chunks(self._lattice, self._cells):
+            ys = ys[ys.min(axis=2) >= 0.0]
+            inside += len(ys)
+            hits += int((classify_batch(ys, x)[0] == outcome - 1).sum())
+        return hits / inside
 
 
-def _unit_lattice(d: int, side: int, midpoints: bool = True) -> np.ndarray:
-    if midpoints:
-        axis = (np.arange(side) + 0.5) / side
-    else:
-        axis = np.linspace(0.0, 1.0, side)
+def _unit_lattice(axis, d: int) -> np.ndarray:
+    """Every point of the d-fold product of the 1-D `axis` values, as
+    rows, with the last axis varying fastest."""
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 

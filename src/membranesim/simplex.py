@@ -154,24 +154,22 @@ def _breaking_ratios(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def classify_batch(
-    lams: np.ndarray, x: BarycentricState, tie_rtol: float = TIE_RTOL
+    lams: np.ndarray, x: BarycentricState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised region classification for a (size, N) batch of points.
 
     Returns (outcomes, on_boundary): 0-based outcome indices after the
     lowest-index tie-break, and the mask of points whose minimal ratio
-    is attained more than once within `tie_rtol`.
+    is attained more than once within TIE_RTOL, as in `region_of`'s
+    float path.
     """
     xs = x.coords
     if lams.ndim != 2 or lams.shape[1] != xs.size:
         raise ValueError("batch shape does not match the state dimension")
-    ratios = np.divide(
-        lams, xs[None, :], out=np.full_like(lams, np.inf), where=xs > 0
-    )
+    ratios = _breaking_ratios(lams, xs)
     rmin = ratios.min(axis=1)
-    outcomes = ratios.argmin(axis=1)
-    n_tied = (ratios <= rmin[:, None] * (1.0 + tie_rtol)).sum(axis=1)
-    return outcomes, n_tied > 1
+    tied = ratios <= rmin[:, None] * (1.0 + TIE_RTOL)
+    return tied.argmax(axis=1), tied.sum(axis=1) > 1
 
 
 def hull_membership(lam: BarycentricState, x: BarycentricState, outcome: int) -> bool:

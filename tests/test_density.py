@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from membranesim import density as density_module
 from membranesim.density import (
+    GRID_SUBSAMPLES,
     BallComplement,
     Cellular1DDensity,
     CellularGridDensity,
@@ -24,7 +27,13 @@ from membranesim.density import (
     truncate,
 )
 from membranesim.montecarlo import BLOCK_SIZE, estimate
-from membranesim.simplex import SUM_TOL, BarycentricState, classify_batch
+from membranesim.simplex import (
+    SUM_TOL,
+    BarycentricState,
+    classify_batch,
+    from_internal_batch,
+    internal_basis,
+)
 
 
 def random_state(rng, n):
@@ -282,6 +291,26 @@ class TestControlRegions:
         assert p == float((Fraction(0.9) - lo) / (hi - lo))
         assert p == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("epsilon", [0.2, 0.3, 0.4, 0.5, 0.6])
+    @pytest.mark.parametrize("end", ["left", "right"])
+    def test_ball_touching_an_end_is_accepted(self, epsilon, end):
+        # on the segment the ball's x1 half-width radius/sqrt(2) is epsilon/2
+        c1 = epsilon / 2 if end == "left" else 1 - epsilon / 2
+        ctrl = BallComplement([BarycentricState([c1, 1 - c1])], epsilon)
+        ((lo, hi),) = ctrl.breakable_intervals()
+        assert 0.0 <= lo < hi <= 1.0
+        assert (lo if end == "left" else 1.0 - hi) == pytest.approx(0.0, abs=1e-15)
+        x = BarycentricState([0.5, 0.5])
+        p = TruncatedUniformDensity(ctrl).region_probability(x, 1)
+        assert p == pytest.approx(min(max((0.5 - lo) / (hi - lo), 0.0), 1.0))
+
+    @pytest.mark.parametrize("end", ["left", "right"])
+    def test_ball_poking_out_of_an_end_is_rejected(self, end):
+        half = 0.3 / 2 * (1 - 1e-6)
+        c1 = half if end == "left" else 1 - half
+        with pytest.raises(ValueError, match="leaves the simplex"):
+            BallComplement([BarycentricState([c1, 1 - c1])], 0.3)
+
 
 class TestCellularApproximation:
     def test_uniform_target_is_all_breakable(self):
@@ -362,6 +391,108 @@ class TestCellularGrid:
         est = estimate(x, grid, 100_000, seed=5)
         probs = grid.region_probabilities(x)
         assert est.probabilities == pytest.approx(probs, abs=0.02)
+
+
+class GridOracle:
+    """The grid density cell by cell: each cell's origin rebuilt from its
+    index digit by digit, its overlap decided by its box corners or else
+    measured on the lattice, and region integrals summed over the cells
+    in floats."""
+
+    def __init__(self, n, resolution, mask=None):
+        self.n, self.r, d = n, resolution, n - 1
+        vertices = internal_basis(n)[:-1, :].T
+        self.lo = vertices.min(axis=0)
+        self.widths = (vertices.max(axis=0) - self.lo) / resolution
+        n_cells = resolution**d
+        self.mask = np.ones(n_cells, bool) if mask is None else np.asarray(mask)
+        side = max(2, math.ceil(GRID_SUBSAMPLES ** (1.0 / d)))
+        axis = (np.arange(side) + 0.5) / side
+        self.lattice = np.array(list(itertools.product(axis, repeat=d)))
+        self.corners = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+        self.weights = np.array(
+            [self.overlap(c) for c in range(n_cells)]
+        ) * float(np.prod(self.widths))
+        self.total = float(self.weights[self.mask].sum())
+
+    def origin(self, cell):
+        idx = np.empty(self.n - 1, dtype=int)
+        for axis in range(self.n - 1):
+            idx[axis] = cell % self.r
+            cell //= self.r
+        return self.lo + idx * self.widths
+
+    def points(self, cell, rel):
+        return from_internal_batch(self.origin(cell) + rel * self.widths, self.n)
+
+    def overlap(self, cell):
+        ys = self.points(cell, self.corners)
+        if ys.min() >= 0.0:
+            return 1.0
+        if (ys.max(axis=0) < 0.0).any():
+            return 0.0
+        return float((self.points(cell, self.lattice).min(axis=1) >= 0.0).mean())
+
+    def sample_batch(self, rng, size):
+        cells = np.flatnonzero(self.mask & (self.weights > 0.0))
+        probs = self.weights[cells] / self.total
+        chosen = cells[rng.choice(len(cells), size=size, p=probs)]
+        out = np.empty((size, self.n))
+        pending = np.arange(size)
+        while len(pending):
+            rel = rng.random((len(pending), self.n - 1))
+            origins = np.array([self.origin(c) for c in chosen[pending]])
+            ys = from_internal_batch(origins + rel * self.widths, self.n)
+            ok = ys.min(axis=1) >= 0.0
+            out[pending[ok]] = ys[ok]
+            pending = pending[~ok]
+        return out
+
+    def region_probability(self, x, outcome):
+        vol = float(np.prod(self.widths))
+        attributed = total = 0.0
+        for cell in np.flatnonzero(self.mask & (self.weights > 0.0)):
+            ys = self.points(cell, self.lattice)
+            inside = ys.min(axis=1) >= 0.0
+            outcomes, _ = classify_batch(ys[inside], x)
+            total += vol * inside.mean()
+            attributed += vol * (outcomes == outcome - 1).sum() / len(self.lattice)
+        return attributed / total
+
+
+GRID_CASES = [(2, 5), (2, 16), (3, 8), (3, 32), (4, 6)]
+
+
+class TestCellularGridOracle:
+    @pytest.mark.parametrize("n,resolution", GRID_CASES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_grid_matches_the_per_cell_oracle(self, n, resolution, masked):
+        rng = np.random.default_rng(resolution * n)
+        mask = None
+        if masked:
+            mask = rng.random(resolution ** (n - 1)) < 0.5
+            mask[resolution ** (n - 1) // 2] = True
+        grid = CellularGridDensity(n, resolution, mask)
+        oracle = GridOracle(n, resolution, mask)
+        assert grid._weights.tobytes() == oracle.weights.tobytes()
+        draws = grid.sample_batch(np.random.default_rng(9), 3000)
+        expected = oracle.sample_batch(np.random.default_rng(9), 3000)
+        assert draws.tobytes() == expected.tobytes()
+        x = random_state(rng, n)
+        for outcome in range(1, n + 1):
+            assert grid.region_probability(x, outcome) == pytest.approx(
+                oracle.region_probability(x, outcome), abs=1e-12
+            )
+
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        mask = np.random.default_rng(2).random(100) < 0.6
+        x = BarycentricState([0.25, 0.35, 0.4])
+        whole = CellularGridDensity(3, 10, mask)
+        # 75 cells a chunk for the corner test, one for the lattice
+        monkeypatch.setattr(density_module, "_CHUNK_POINTS", 300)
+        chunked = CellularGridDensity(3, 10, mask)
+        assert chunked._weights.tobytes() == whole._weights.tobytes()
+        assert chunked.region_probabilities(x) == whole.region_probabilities(x)
 
 
 class TestDensitySpec:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from membranesim.simplex import (
     BarycentricState,
@@ -99,6 +101,52 @@ class TestRegionOf:
         x = BarycentricState([0.6, 0.4, 0.0])
         lam = BarycentricState([0.3, 0.7, 0.0])
         assert region_of(lam, x).outcome == 1
+
+
+@st.composite
+def rational_points(draw, n):
+    """A point of the simplex with small-denominator rational coordinates,
+    zeros included."""
+    den = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)))
+    return [Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+
+
+@st.composite
+def states_and_points(draw):
+    """A rational state and rational breaking points: free ones, and ones
+    on region boundaries, t*x + (1 - t)*e_k, whose ratios tie at t for
+    every index but k."""
+    n = draw(st.integers(2, 6))
+    x = draw(rational_points(n))
+    lams = draw(st.lists(rational_points(n), max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(st.fractions(0, 1, max_denominator=12))
+        k = draw(st.integers(0, n - 1))
+        lams.append([t * xj + (1 - t) * (j == k) for j, xj in enumerate(x)])
+    return x, draw(st.permutations(lams)) if lams else [x]
+
+
+@given(states_and_points())
+@settings(max_examples=400, deadline=None)
+def test_classify_batch_agrees_with_exact_region_of(case):
+    x_exact, lams_exact = case
+    x = BarycentricState(x_exact)
+    lams = [BarycentricState(lam) for lam in lams_exact]
+    outcomes, on_boundary = classify_batch(np.array([lam.coords for lam in lams]), x)
+    for lam, outcome, boundary in zip(lams, outcomes, on_boundary):
+        label = region_of(lam, x)
+        assert outcome == label.outcome - 1
+        assert boundary == label.is_boundary
+
+
+def test_classify_batch_resolves_a_rounded_tie_to_the_lowest_index():
+    # regions 1 and 2 tie exactly; the float ratio of region 2 rounds lower
+    x = BarycentricState([Fraction(5, 21), Fraction(11, 21), Fraction(5, 21), 0])
+    lam = BarycentricState([Fraction(5, 56), Fraction(11, 56), Fraction(5, 7), 0])
+    assert region_of(lam, x).indices == (1, 2)
+    outcomes, on_boundary = classify_batch(lam.coords[None, :], x)
+    assert outcomes.tolist() == [0] and on_boundary.tolist() == [True]
 
 
 class TestRegionLabel:
