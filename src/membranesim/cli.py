@@ -10,7 +10,8 @@ override config values, config values override built-in defaults.
 The --out path is checked before any work and replaced whole at the end.
 Identical configuration and seed produce byte-identical output files;
 JSON reports carry a schema_version field, floats are written with 17
-significant digits and rationals as "p/q".
+significant digits, rationals as "p/q" and a missing value as null
+(an empty CSV field).
 
 Exit status: 0 on success, 2 when the configuration does not validate,
 3 when a validated run fails.
@@ -48,6 +49,8 @@ APPROXIMATION_TARGETS = {
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, bool):
@@ -256,6 +259,7 @@ def _cmd_robustness(args) -> int:
         method=args.method,
         n_samples=args.samples,
         seed=args.seed,
+        threads=args.threads,
     )
     rows = report.rows()
     print(
@@ -284,7 +288,7 @@ def _cmd_dirac_limit(args) -> int:
     points = _parse_points(args.points)
     epsilons = _parse_floats(args.epsilons)
     report = dirac_limit_demo(
-        state, points, epsilons, n_samples=args.samples, seed=args.seed
+        state, points, epsilons, args.samples, args.seed, args.threads
     )
     rows = report.rows()
     for row in rows:
@@ -445,6 +449,8 @@ def _apply_config_and_defaults(args: argparse.Namespace, actions: dict) -> None:
     for key in _REQUIRED[args.command]:
         if getattr(args, key, None) is None:
             raise ValueError(f"--{key.replace('_', '-')} is required")
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
     needs_seed = _STOCHASTIC.get(args.command)
     if needs_seed and needs_seed(args) and args.seed is None:
         raise ValueError("a --seed is mandatory for stochastic commands")

@@ -146,23 +146,25 @@ class TransitionEstimate:
         ]
 
 
-def _block_sizes(n_samples: int) -> list[int]:
-    full, rest = divmod(n_samples, BLOCK_SIZE)
-    return [BLOCK_SIZE] * full + ([rest] if rest else [])
+class _RandomMaskDensity(Density):
+    """Breaking points of the two-outcome segment under a cellular
+    structure drawn afresh for every point, uniformly among the
+    2**n_cells - 1 nonzero masks, then uniform over its breakable cells.
+    Rows are masks as integer bit patterns, so no object per mask."""
 
+    n_outcomes = 2
 
-def _run_blocks(worker, sizes, n_outcomes: int, threads: int):
-    counts = np.zeros(n_outcomes, dtype=np.int64)
-    boundary = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(len(sizes)), sizes))
-    else:
-        results = [worker(b, size) for b, size in enumerate(sizes)]
-    for c, b in results:
-        counts += c
-        boundary += b
-    return counts, boundary
+    def __init__(self, n_cells: int):
+        self.n_cells = n_cells
+        self._bit_idx = np.arange(n_cells, dtype=np.int64)
+
+    def sample_batch(self, rng, size):
+        masks = rng.integers(1, 1 << self.n_cells, size=size, dtype=np.int64)
+        cum = np.cumsum((masks[:, None] >> self._bit_idx) & 1, axis=1)
+        r = rng.integers(0, cum[:, -1])
+        cell = (cum <= r[:, None]).sum(axis=1)
+        pos = (cell + rng.random(size)) / self.n_cells
+        return np.column_stack([pos, 1.0 - pos])
 
 
 def estimate(
@@ -177,24 +179,34 @@ def estimate(
     Each sample draws a breaking point from `rho` and classifies its
     region; boundary ties resolve to the lowest index and are tallied in
     `boundary_hits`. Deterministic given (x, rho, n_samples, seed),
-    whatever the thread count.
+    whatever the thread count; `seed` may not be None, which would draw
+    fresh entropy for every block.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if x.n_outcomes != rho.n_outcomes:
         raise ValueError("state dimension does not match the density")
+    if seed is None:
+        raise ValueError("estimation needs a seed")
+    if threads < 1:
+        raise ValueError("need at least one thread")
     n = x.n_outcomes
+    full, rest = divmod(n_samples, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
 
-    def worker(block: int, size: int):
-        rng = substream(seed, block)
-        lams = rho.sample_batch(rng, size)
+    def block(b: int):
+        lams = rho.sample_batch(substream(seed, b), sizes[b])
         outcomes, on_boundary = classify_batch(lams, x)
-        return (
-            np.bincount(outcomes, minlength=n).astype(np.int64),
-            int(on_boundary.sum()),
-        )
+        return np.bincount(outcomes, minlength=n), int(on_boundary.sum())
 
-    counts, boundary = _run_blocks(worker, _block_sizes(n_samples), n, threads)
+    workers = min(threads, len(sizes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(block, range(len(sizes))))
+    else:
+        results = [block(b) for b in range(len(sizes))]
+    counts = np.sum([c for c, _ in results], axis=0, dtype=np.int64)
+    boundary = sum(hits for _, hits in results)
     return TransitionEstimate.from_counts(counts, boundary, n_samples)
 
 
@@ -203,53 +215,24 @@ def estimate_universal(
     n_cells: int,
     n_mask_draws: int,
     seed,
-    samples_per_mask: int = 1,
     threads: int = 1,
 ) -> TransitionEstimate:
     """Two-level estimate of the mask-averaged collapse probabilities.
 
     Every draw first picks a cellular structure uniformly among the
     2**n_cells - 1 nonzero masks of the two-outcome segment, then draws
-    a breaking point from that structure (uniform over its breakable
-    cells, `samples_per_mask` points per picked mask). The estimate
-    converges to the uniform-density value as cells and draws grow.
+    one breaking point uniformly over that structure's breakable cells;
+    `estimate` runs the draws. The estimate converges to the
+    uniform-density value as cells and draws grow.
     """
     if x.n_outcomes != 2:
         raise ValueError("two-level estimation runs on the two-outcome segment")
-    if n_cells < 1:
-        raise ValueError("need at least one cell")
-    if n_cells > MAX_UNIVERSAL_CELLS:
+    if not 1 <= n_cells <= MAX_UNIVERSAL_CELLS:
         raise ValueError(
-            f"uniform nonzero-mask sampling is guaranteed up to "
-            f"{MAX_UNIVERSAL_CELLS} cells"
+            f"n_cells must be in 1..{MAX_UNIVERSAL_CELLS}, where uniform "
+            f"nonzero-mask sampling is guaranteed"
         )
-    if n_mask_draws < 1 or samples_per_mask < 1:
-        raise ValueError("draw counts must be positive")
-    bit_idx = np.arange(n_cells, dtype=np.int64)
-
-    def worker(block: int, size: int):
-        rng = substream(seed, block)
-        masks = rng.integers(1, 1 << n_cells, size=size, dtype=np.int64)
-        bits = ((masks[:, None] >> bit_idx) & 1).astype(np.int64)
-        k = bits.sum(axis=1)
-        cum = np.cumsum(bits, axis=1)
-        counts = np.zeros(2, dtype=np.int64)
-        boundary = 0
-        for _ in range(samples_per_mask):
-            r = rng.integers(0, k)
-            cell = (cum <= r[:, None]).sum(axis=1)
-            pos = (cell + rng.random(size)) / n_cells
-            lams = np.column_stack([pos, 1.0 - pos])
-            outcomes, on_boundary = classify_batch(lams, x)
-            counts += np.bincount(outcomes, minlength=2).astype(np.int64)
-            boundary += int(on_boundary.sum())
-        return counts, boundary
-
-    sizes = _block_sizes(n_mask_draws)
-    counts, boundary = _run_blocks(worker, sizes, 2, threads)
-    return TransitionEstimate.from_counts(
-        counts, boundary, n_mask_draws * samples_per_mask
-    )
+    return estimate(x, _RandomMaskDensity(n_cells), n_mask_draws, seed, threads)
 
 
 def standard_error(p: float, n_samples: int) -> float:

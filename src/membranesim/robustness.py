@@ -62,7 +62,7 @@ class RobustnessReport:
                     "epsilon": eps,
                     "measured": meas,
                     "predicted": pred,
-                    "ratio": meas / pred if pred else float("nan"),
+                    "ratio": meas / pred if pred else None,
                 }
             )
         return out
@@ -91,6 +91,7 @@ def robustness_sweep(
     n_samples: int = 200_000,
     seed=None,
     epsilon_tilde: float | None = None,
+    threads: int = 1,
 ) -> RobustnessReport:
     """Measure |dP_outcome| across an epsilon grid and compare with
     |dx_outcome| / epsilon.
@@ -98,7 +99,8 @@ def robustness_sweep(
     `control_factory` maps an epsilon to a ControlRegion and defaults to
     the centroid neighbourhood. The analytic path needs a two-outcome
     geometry with an interval description; the Monte Carlo path needs a
-    seed and reports the combined standard error of each measured value.
+    seed, runs on `threads` workers and reports the combined standard
+    error of each measured value. A zero prediction has ratio None.
     The report flags the threshold epsilon where the scaling law starts
     to hold; thresholds are exact for two outcomes under the default
     geometry and geometry-dependent estimates otherwise.
@@ -108,6 +110,8 @@ def robustness_sweep(
         raise ValueError(f"outcome must be in 1..{n}")
     if method not in ("analytic", "mc"):
         raise ValueError("method must be 'analytic' or 'mc'")
+    if method == "analytic" and n != 2:
+        raise ValueError("the analytic path needs two outcomes; use method 'mc'")
     if method == "mc" and seed is None:
         raise ValueError("the Monte Carlo path needs a seed")
     x_moved = perturb_state(x, delta_x)
@@ -139,8 +143,8 @@ def robustness_sweep(
         else:
             seq_a = np.random.SeedSequence(seed, spawn_key=(idx, 0))
             seq_b = np.random.SeedSequence(seed, spawn_key=(idx, 1))
-            est_a = estimate(x, density, n_samples, seq_a)
-            est_b = estimate(x_moved, density, n_samples, seq_b)
+            est_a = estimate(x, density, n_samples, seq_a, threads)
+            est_b = estimate(x_moved, density, n_samples, seq_b, threads)
             p_a = float(est_a.probabilities[outcome - 1])
             p_b = float(est_b.probabilities[outcome - 1])
             err = float(
@@ -186,6 +190,7 @@ def dirac_limit_demo(
     epsilon_sequence,
     n_samples: int = 100_000,
     seed=None,
+    threads: int = 1,
 ) -> DiracLimitReport:
     """Shrink ball-shaped breakable zones around `points` and watch the
     outcome distribution converge to the classification of the points.
@@ -220,9 +225,8 @@ def dirac_limit_demo(
     distributions, tvs = [], []
     for idx, eps in enumerate(eps_seq):
         density = TruncatedUniformDensity(BallComplement(points, eps))
-        est = estimate(
-            x, density, n_samples, np.random.SeedSequence(seed, spawn_key=(idx,))
-        )
+        seq = np.random.SeedSequence(seed, spawn_key=(idx,))
+        est = estimate(x, density, n_samples, seq, threads)
         probs = est.probabilities
         distributions.append(tuple(float(p) for p in probs))
         tvs.append(float(0.5 * np.abs(probs - target).sum()))

@@ -364,6 +364,38 @@ class TestRobustnessCommand:
         )
         assert code == 2
 
+    def test_analytic_needs_two_outcomes(self, capsys):
+        code = run_cli(
+            [
+                "robustness",
+                "--state",
+                "0.3,0.3,0.4",
+                "--delta",
+                "0.01,-0.01,0",
+                "--epsilon-grid",
+                "0.5",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "two outcomes" in captured.err
+
+    def test_zero_prediction_is_null_in_json_and_empty_in_csv(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        args = ["robustness", "--state", "0.3,0.3,0.4", "--delta", "0.01,-0.01,0"]
+        args += ["--outcome", "3", "--epsilon-grid", "0.5,1.0", "--method", "mc"]
+        args += ["--samples", "2000", "--seed", "1"]
+        out = tmp_path / "rob.json"
+        assert run_cli(args + ["--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert [r["ratio"] for r in payload["results"]] == [None, None]
+        out = tmp_path / "rob.csv"
+        assert run_cli(args + ["--format", "csv", "--out", str(out)]) == 0
+        assert [r["ratio"] for r in read_csv(out)] == ["", ""]
+
 
 class TestDiracLimitCommand:
     def test_run(self, tmp_path):
@@ -499,6 +531,61 @@ class TestJsonRoundTrip:
         payload = read_json(out)
         assert payload["schema_version"] == 1
         assert json.loads(json.dumps(payload, sort_keys=True)) == payload
+
+
+#: one run per sampling command, each over more than one block
+SAMPLING_RUNS = {
+    "simulate": ["simulate", "--state", "0.2,0.3,0.5", "--samples", "150000"],
+    "robustness": [
+        "robustness",
+        "--state",
+        "0.3,0.3,0.4",
+        "--delta",
+        "0.01,-0.01,0",
+        "--epsilon-grid",
+        "0.5",
+        "--method",
+        "mc",
+        "--samples",
+        "150000",
+    ],
+    "dirac-limit": [
+        "dirac-limit",
+        "--state",
+        "0.333,0.333,0.334",
+        "--points",
+        "0.5,0.3,0.2;0.2,0.5,0.3",
+        "--epsilons",
+        "0.1",
+        "--samples",
+        "150000",
+    ],
+}
+
+
+class TestThreads:
+    @pytest.mark.parametrize("command", sorted(SAMPLING_RUNS))
+    def test_counts_do_not_depend_on_threads(self, command, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.json"
+            args = SAMPLING_RUNS[command] + ["--seed", "3", "--format", "json"]
+            assert run_cli(args + ["--threads", threads, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "args",
+        list(SAMPLING_RUNS.values())
+        + [["universal-exact", "--cells", "6", "--position", "2"]],
+        ids=lambda args: args[0],
+    )
+    def test_fewer_than_one_thread_is_a_validation_error(self, args, threads, capsys):
+        assert run_cli(args + ["--seed", "3", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threads" in captured.err
 
 
 def test_thread_env_var_sets_the_default(monkeypatch):

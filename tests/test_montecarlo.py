@@ -136,6 +136,21 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(BarycentricState([0.5, 0.5]), UniformDensity(2), 0, 0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ValueError, match="thread"):
+            estimate(BarycentricState([0.5, 0.5]), UniformDensity(2), 100, 0, threads)
+
+    def test_rejects_a_missing_seed(self, monkeypatch):
+        # a None seed would draw fresh entropy for every block
+        monkeypatch.setattr(
+            UniformDensity, "sample_batch", lambda *a: pytest.fail("sampled")
+        )
+        with pytest.raises(ValueError, match="seed"):
+            estimate(BarycentricState([0.5, 0.5]), UniformDensity(2), 100_000, None)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_universal(BarycentricState([0.5, 0.5]), 4, 100_000, None)
+
 
 class TestSubstream:
     def test_blocks_are_stable(self):
@@ -176,18 +191,23 @@ class TestEstimateUniversal:
         est = estimate_universal(BarycentricState([0, 1]), 1, 5000, seed=2)
         assert est.probabilities.tolist() == [0.0, 1.0]
 
-    def test_samples_per_mask(self):
-        est = estimate_universal(
-            BarycentricState([0.5, 0.5]), 4, 30_000, seed=9, samples_per_mask=3
-        )
-        assert est.n_samples == 90_000
-        assert est.counts.sum() == 90_000
-
     def test_reproducible_and_parallel(self):
         x = BarycentricState([0.25, 0.75])
         a = estimate_universal(x, 8, 150_000, seed=21)
         b = estimate_universal(x, 8, 150_000, seed=21, threads=4)
         assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "seed, counts", [(13, [59996, 140004]), (2024, [60043, 139957])]
+    )
+    def test_stream_is_pinned(self, seed, counts, threads):
+        # recorded before the mask sampler became a density run by `estimate`
+        est = estimate_universal(
+            BarycentricState([0.3, 0.7]), 12, 200_000, seed, threads=threads
+        )
+        assert est.counts.tolist() == counts
+        assert est.boundary_hits == 0
 
     def test_bounds(self):
         x = BarycentricState([0.5, 0.5])
@@ -197,6 +217,8 @@ class TestEstimateUniversal:
             estimate_universal(BarycentricState([1 / 3, 1 / 3, 1 / 3]), 4, 10, seed=0)
         with pytest.raises(ValueError):
             estimate_universal(x, 0, 10, seed=0)
+        with pytest.raises(ValueError):
+            estimate_universal(x, 4, 0, seed=0)
 
 
 def test_standard_error():

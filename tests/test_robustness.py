@@ -73,6 +73,11 @@ class TestAnalyticSweep:
         rows = robustness_sweep(x, [0.01, -0.01], [0.5, 1.0]).rows()
         assert [r["ratio"] for r in rows] == pytest.approx([1.0, 1.0])
 
+    def test_needs_two_outcomes(self):
+        x = BarycentricState([0.3, 0.3, 0.4])
+        with pytest.raises(ValueError, match="two outcomes"):
+            robustness_sweep(x, [0.01, -0.01, 0.0], [0.5])
+
 
 class TestMonteCarloSweep:
     def test_matches_prediction_within_noise(self):
@@ -97,6 +102,20 @@ class TestMonteCarloSweep:
         a = robustness_sweep(x, [0.01, -0.01], [0.5, 1.0], **kwargs)
         b = robustness_sweep(x, [0.01, -0.01], [0.5, 1.0], **kwargs)
         assert a.measured == b.measured
+
+    def test_threads_do_not_change_the_result(self):
+        x = BarycentricState([0.3, 0.3, 0.4])
+        kwargs = dict(method="mc", n_samples=150_000, seed=8)
+        a = robustness_sweep(x, [0.01, -0.01, 0.0], [0.5], **kwargs)
+        b = robustness_sweep(x, [0.01, -0.01, 0.0], [0.5], threads=2, **kwargs)
+        assert a.measured == b.measured
+
+    def test_zero_prediction_has_no_ratio(self):
+        x = BarycentricState([0.3, 0.3, 0.4])
+        kwargs = dict(outcome=3, method="mc", n_samples=1000, seed=1)
+        report = robustness_sweep(x, [0.01, -0.01, 0.0], [1.0], **kwargs)
+        assert report.predicted == (0.0,)
+        assert report.rows()[0]["ratio"] is None
 
 
 class TestSweepValidation:
@@ -156,6 +175,13 @@ class TestDiracLimit:
         report = dirac_limit_demo(x, pts, [0.05, 0.01], n_samples=20_000, seed=7)
         assert report.target_distribution == (1.0, 0.0, 0.0)
         assert report.distributions[-1] == pytest.approx((1.0, 0.0, 0.0))
+
+    def test_threads_do_not_change_the_result(self):
+        x = BarycentricState([1 / 3, 1 / 3, 1 / 3])
+        pts = [BarycentricState([0.5, 0.3, 0.2]), BarycentricState([0.2, 0.5, 0.3])]
+        a = dirac_limit_demo(x, pts, [0.1], n_samples=150_000, seed=2)
+        b = dirac_limit_demo(x, pts, [0.1], n_samples=150_000, seed=2, threads=2)
+        assert a.distributions == b.distributions
 
     def test_needs_seed_and_distinct_points(self):
         x = BarycentricState([1 / 3, 1 / 3, 1 / 3])
