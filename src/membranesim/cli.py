@@ -2,11 +2,17 @@
 
 Subcommands: simulate, universal-exact, identities, approximate,
 robustness, dirac-limit. Options shared by all commands: --seed,
---threads, --out, --format {csv,json}, --config. A config file is JSON
-whose keys are the long option names with dashes replaced by
-underscores, and each value must have the JSON type of its option
-(integer, number, string, or true/false for a flag); explicit flags
-override config values, config values override built-in defaults.
+--threads, --out, --format {csv,json}, --config. `_COMMANDS` is the one
+table of each command's options and seed rule; the parser, the config
+check, the defaults and the required and seed checks all read it.
+
+A config file is JSON whose keys are the command's long option names
+with dashes replaced by underscores (any other key is rejected), and
+each value must have the JSON type of its option (integer, number,
+string, or true/false for a flag); explicit flags override config
+values, config values override built-in defaults, and required options
+may come from either. --threads defaults to the MEMBRANESIM_THREADS
+environment variable, which must be at least 1, else to the CPU count.
 The --out path is checked before any work and replaced whole at the end.
 Identical configuration and seed produce byte-identical output files;
 JSON reports carry a schema_version field, floats are written with 17
@@ -93,9 +99,17 @@ def _parse_density(text: str, n_outcomes: int):
 
 def _default_threads() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(
+            f"{THREADS_ENV_VAR} must be an integer of at least 1, got {env!r}"
+        )
+    return threads
 
 
 def _write_output(payload: dict, rows: list[dict], args) -> None:
@@ -143,13 +157,7 @@ def _json_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
-def _payload(command: str, **extra) -> dict:
-    body = {"schema_version": SCHEMA_VERSION, "command": command}
-    body.update(extra)
-    return body
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     state = _parse_state(args.state)
     density = _parse_density(args.density, state.n_outcomes)
     result = estimate(
@@ -158,8 +166,7 @@ def _cmd_simulate(args) -> int:
     for line in result.summary_lines():
         print(line)
     rows = result.to_csv_rows()
-    payload = _payload(
-        "simulate",
+    payload = dict(
         state=[float(c) for c in state.coords],
         density=args.density,
         n_samples=result.n_samples,
@@ -167,11 +174,10 @@ def _cmd_simulate(args) -> int:
         boundary_hits=result.boundary_hits,
         outcomes=_json_rows(rows),
     )
-    _write_output(payload, rows, args)
-    return 0
+    return payload, rows
 
 
-def _cmd_universal_exact(args) -> int:
+def _cmd_universal_exact(args):
     if args.table:
         report = theorem_report(args.cells)
         rows = report["rows"]
@@ -180,9 +186,7 @@ def _cmd_universal_exact(args) -> int:
             f"mask averages match the uniform values for all n <= {args.cells}: "
             f"{'yes' if equal else 'NO'}"
         )
-        payload = _payload("universal-exact", table=True, **report)
-        _write_output(payload, rows, args)
-        return 0
+        return dict(table=True, **report), rows
     if args.position is None:
         raise ValueError("--position is required unless --table is given")
     avg = universal_average_1d(args.cells, args.position, args.target)
@@ -199,29 +203,19 @@ def _cmd_universal_exact(args) -> int:
         f"n={args.cells} position={args.position}: average={_fmt(avg)} "
         f"uniform={_fmt(uniform)} equal={str(avg == uniform).lower()}"
     )
-    payload = _payload("universal-exact", **_json_rows([row])[0])
-    _write_output(payload, [row], args)
-    return 0
+    return _json_rows([row])[0], [row]
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args):
     report = identity_report(args.n_max)
     rows = report["rows"]
     ok = all(r["equal_a"] and r["equal_b"] for r in rows)
     print(f"both identities hold for all n <= {args.n_max}: {'yes' if ok else 'NO'}")
-    payload = _payload("identities", **report)
-    _write_output(payload, rows, args)
-    return 0
+    return report, rows
 
 
-def _cmd_approximate(args) -> int:
-    try:
-        cdf = APPROXIMATION_TARGETS[args.target]
-    except KeyError:
-        raise ValueError(
-            f"unknown target {args.target!r}; pick one of "
-            f"{sorted(APPROXIMATION_TARGETS)}"
-        ) from None
+def _cmd_approximate(args):
+    cdf = APPROXIMATION_TARGETS[args.target]
     if not 0.0 <= args.position <= 1.0:
         raise ValueError("--position must lie in [0, 1]")
     density = cellular_approximation(cdf, args.m, args.ell)
@@ -242,12 +236,10 @@ def _cmd_approximate(args) -> int:
         f"p_cell={p_cell:.6f} p_exact={p_exact:.6f} "
         f"error={abs(p_cell - p_exact):.2e}"
     )
-    payload = _payload("approximate", **row)
-    _write_output(payload, [row], args)
-    return 0
+    return row, [row]
 
 
-def _cmd_robustness(args) -> int:
+def _cmd_robustness(args):
     state = _parse_state(args.state)
     delta = _parse_floats(args.delta)
     grid = _parse_floats(args.epsilon_grid)
@@ -271,19 +263,17 @@ def _cmd_robustness(args) -> int:
             f"epsilon={row['epsilon']:.6g}: measured={row['measured']:.6g} "
             f"predicted={row['predicted']:.6g}"
         )
-    payload = _payload(
-        "robustness",
+    payload = dict(
         outcome=report.outcome,
         epsilon_tilde=report.epsilon_tilde,
         epsilon_tilde_exact=report.epsilon_tilde_exact,
         method=report.method,
         results=rows,
     )
-    _write_output(payload, rows, args)
-    return 0
+    return payload, rows
 
 
-def _cmd_dirac_limit(args) -> int:
+def _cmd_dirac_limit(args):
     state = _parse_state(args.state)
     points = _parse_points(args.points)
     epsilons = _parse_floats(args.epsilons)
@@ -293,165 +283,171 @@ def _cmd_dirac_limit(args) -> int:
     rows = report.rows()
     for row in rows:
         print(f"epsilon={row['epsilon']:.6g}: tv={row['tv_distance']:.6g}")
-    payload = _payload(
-        "dirac-limit",
+    payload = dict(
         target_distribution=list(report.target_distribution),
         distributions=[list(d) for d in report.distributions],
         results=rows,
     )
-    _write_output(payload, rows, args)
-    return 0
+    return payload, rows
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "universal-exact": _cmd_universal_exact,
-    "identities": _cmd_identities,
-    "approximate": _cmd_approximate,
-    "robustness": _cmd_robustness,
-    "dirac-limit": _cmd_dirac_limit,
+def _format_option(default: str) -> dict:
+    return dict(choices=["csv", "json"], default=default, help="output format")
+
+
+# An option gives its type (str when absent, bool for a flag), choices,
+# default (called if it is a function), whether it is required, and help.
+# Keys are the long option names with dashes written as underscores.
+_SHARED = {
+    "config": dict(help="JSON file with option defaults"),
+    "seed": dict(type=int, help="RNG seed (stochastic commands)"),
+    "threads": dict(
+        type=int,
+        default=_default_threads,
+        help=f"worker threads (default: ${THREADS_ENV_VAR} or the CPU count)",
+    ),
+    "out": dict(help="output file path (default: stdout)"),
 }
 
-#: per-command defaults applied after flags and config file
-_DEFAULTS = {
-    "simulate": {"density": "uniform", "samples": 1_000_000, "format": "csv"},
-    "universal-exact": {"target": "left", "table": False, "format": "json"},
-    "identities": {"n_max": 60, "format": "json"},
+# A command gives its handler, which returns (payload, rows), the rule for
+# when a run needs a --seed (absent: never) and its own options.
+_COMMANDS = {
+    "simulate": {
+        "run": _cmd_simulate,
+        "needs_seed": lambda args: True,
+        "options": {
+            "format": _format_option("csv"),
+            "state": dict(required=True, help="comma-separated barycentric weights"),
+            "density": dict(default="uniform", help="keyword, shorthand or JSON"),
+            "samples": dict(type=int, default=1_000_000, help="breaking points"),
+        },
+    },
+    "universal-exact": {
+        "run": _cmd_universal_exact,
+        "options": {
+            "format": _format_option("json"),
+            "cells": dict(type=int, required=True, help="number of cells"),
+            "position": dict(type=int, help="contact point (unless --table)"),
+            "target": dict(
+                choices=["left", "right"], default="left", help="end collapsed onto"
+            ),
+            "table": dict(type=bool, default=False, help="all n up to --cells"),
+        },
+    },
+    "identities": {
+        "run": _cmd_identities,
+        "options": {
+            "format": _format_option("json"),
+            "n_max": dict(type=int, default=60, help="largest n"),
+        },
+    },
     "approximate": {
-        "target": "ramp",
-        "m": 64,
-        "ell": 64,
-        "position": 0.5,
-        "format": "json",
+        "run": _cmd_approximate,
+        "options": {
+            "format": _format_option("json"),
+            "target": dict(
+                choices=sorted(APPROXIMATION_TARGETS), default="ramp", help="target CDF"
+            ),
+            "m": dict(type=int, default=64, help="number of cells"),
+            "ell": dict(type=int, default=64, help="quantisation levels"),
+            "position": dict(type=float, default=0.5, help="x1 in [0, 1]"),
+        },
     },
     "robustness": {
-        "outcome": 1,
-        "method": "analytic",
-        "samples": 200_000,
-        "format": "csv",
+        "run": _cmd_robustness,
+        "needs_seed": lambda args: args.method == "mc",
+        "options": {
+            "format": _format_option("csv"),
+            "state": dict(required=True, help="comma-separated barycentric weights"),
+            "delta": dict(required=True, help="comma-separated, sums to zero"),
+            "outcome": dict(type=int, default=1, help="outcome to follow"),
+            "epsilon_grid": dict(required=True, help="comma-separated epsilons"),
+            "method": dict(
+                choices=["analytic", "mc"], default="analytic", help="exact or sampled"
+            ),
+            "samples": dict(type=int, default=200_000, help="points per epsilon"),
+        },
     },
-    "dirac-limit": {"samples": 100_000, "format": "csv"},
+    "dirac-limit": {
+        "run": _cmd_dirac_limit,
+        "needs_seed": lambda args: True,
+        "options": {
+            "format": _format_option("csv"),
+            "state": dict(required=True, help="comma-separated barycentric weights"),
+            "points": dict(required=True, help="semicolon-separated states"),
+            "epsilons": dict(required=True, help="comma-separated epsilons"),
+            "samples": dict(type=int, default=100_000, help="points per epsilon"),
+        },
+    },
 }
 
-_STOCHASTIC = {
-    "simulate": lambda a: True,
-    "robustness": lambda a: a.method == "mc",
-    "dirac-limit": lambda a: True,
-}
+
+def _options(command: str) -> dict:
+    return {**_SHARED, **_COMMANDS[command]["options"]}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with option defaults")
-    common.add_argument("--seed", type=int, help="RNG seed (stochastic commands)")
-    common.add_argument("--threads", type=int, help="worker threads")
-    common.add_argument("--out", help="output file path (default: stdout)")
-    common.add_argument("--format", choices=["csv", "json"], help="output format")
-
     parser = argparse.ArgumentParser(
         prog="membranesim",
         description="Simulate and verify breakable-membrane measurements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[common])
-    p.add_argument("--state", help="comma-separated barycentric weights")
-    p.add_argument("--density", help="density spec (keyword, shorthand or JSON)")
-    p.add_argument("--samples", type=int, help="number of breaking points")
-
-    p = sub.add_parser("universal-exact", parents=[common])
-    p.add_argument("--cells", type=int, required=True)
-    p.add_argument("--position", type=int)
-    p.add_argument("--target", choices=["left", "right"])
-    p.add_argument("--table", action="store_true", default=None)
-
-    p = sub.add_parser("identities", parents=[common])
-    p.add_argument("--n-max", type=int, dest="n_max")
-
-    p = sub.add_parser("approximate", parents=[common])
-    p.add_argument("--target", choices=sorted(APPROXIMATION_TARGETS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--position", type=float)
-
-    p = sub.add_parser("robustness", parents=[common])
-    p.add_argument("--state")
-    p.add_argument("--delta", help="comma-separated perturbation, sums to zero")
-    p.add_argument("--outcome", type=int)
-    p.add_argument("--epsilon-grid", dest="epsilon_grid")
-    p.add_argument("--method", choices=["analytic", "mc"])
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("dirac-limit", parents=[common])
-    p.add_argument("--state")
-    p.add_argument("--points", help="semicolon-separated states")
-    p.add_argument("--epsilons", help="comma-separated epsilon sequence")
-    p.add_argument("--samples", type=int)
-
+    for command in _COMMANDS:
+        p = sub.add_parser(command)
+        for key, opt in _options(command).items():
+            if opt.get("type") is bool:
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": opt.get("type"), "choices": opt.get("choices")}
+            text = opt["help"] + (" (required)" if opt.get("required") else "")
+            # every default is None, so config and table fill only unset options
+            p.add_argument(_flag(key), default=None, help=text, **kind)
     return parser
 
 
-_REQUIRED = {
-    "simulate": ["state"],
-    "universal-exact": [],
-    "identities": [],
-    "approximate": [],
-    "robustness": ["state", "delta", "epsilon_grid"],
-    "dirac-limit": ["state", "points", "epsilons"],
-}
+#: JSON types a config value may take, by the option's type
+_CONFIG_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
 
 
-#: JSON types a config value may take, by the option's parser type
-_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
-
-
-def _command_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    # argparse exposes a subcommand's options only through private attributes
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions}
-
-
-def _check_config(config: dict, actions: dict) -> None:
-    """Reject config values whose JSON type does not fit the option."""
+def _check_config(config: dict, options: dict) -> None:
+    """Reject config keys that are not options, and values of the wrong type."""
     for key, value in config.items():
-        action = actions.get(key)
-        if action is None:
-            continue
-        expected = (bool,) if action.nargs == 0 else _CONFIG_TYPES[action.type]
-        if not isinstance(value, expected) or (
-            isinstance(value, bool) and bool not in expected
-        ):
+        if key not in options:
+            raise ValueError(f"config key {key!r} is not an option of this command")
+        opt = options[key]
+        expected = _CONFIG_TYPES[opt.get("type", str)]
+        # exact types, since a JSON true would pass isinstance(value, int)
+        if type(value) not in expected:
             names = " or ".join(t.__name__ for t in expected)
             raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
-        if action.choices is not None and value not in action.choices:
+        if "choices" in opt and value not in opt["choices"]:
             raise ValueError(
-                f"config key {key!r} must be one of {list(action.choices)}, "
-                f"got {value!r}"
+                f"config key {key!r} must be one of {opt['choices']}, got {value!r}"
             )
 
 
-def _apply_config_and_defaults(args: argparse.Namespace, actions: dict) -> None:
+def _apply_config_and_defaults(args: argparse.Namespace) -> None:
+    options = _options(args.command)
     config = {}
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-        _check_config(config, actions)
-    defaults = dict(_DEFAULTS.get(args.command, {}))
-    defaults.setdefault("threads", _default_threads())
-    for key, value in vars(args).items():
-        if value is None:
-            if key in config:
-                setattr(args, key, config[key])
-            elif key in defaults:
-                setattr(args, key, defaults[key])
-    for key in _REQUIRED[args.command]:
-        if getattr(args, key, None) is None:
-            raise ValueError(f"--{key.replace('_', '-')} is required")
+        _check_config(config, options)
+    for key, opt in options.items():
+        if getattr(args, key) is None:
+            value = config.get(key, opt.get("default"))
+            setattr(args, key, value() if callable(value) else value)
+        if opt.get("required") and getattr(args, key) is None:
+            raise ValueError(f"{_flag(key)} is required")
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
-    needs_seed = _STOCHASTIC.get(args.command)
+    needs_seed = _COMMANDS[args.command].get("needs_seed")
     if needs_seed and needs_seed(args) and args.seed is None:
         raise ValueError("a --seed is mandatory for stochastic commands")
     if args.out:
@@ -459,26 +455,23 @@ def _apply_config_and_defaults(args: argparse.Namespace, actions: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_and_defaults(args, _command_actions(parser, args.command))
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        _apply_config_and_defaults(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        command = _COMMANDS[args.command]
-    except KeyError:
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return 2
-    try:
-        return command(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        body, rows = _COMMANDS[args.command]["run"](args)
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
+        _write_output(payload, rows, args)
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def console_main() -> None:

@@ -172,15 +172,10 @@ def classify_batch(
     return tied.argmax(axis=1), tied.sum(axis=1) > 1
 
 
-def hull_membership(lam: BarycentricState, x: BarycentricState, outcome: int) -> bool:
-    """Independent linear-feasibility test that `lam` lies in region `outcome`.
-
-    Solves for mu, nu_j >= 0 with lam = mu*x + sum_{j != outcome} nu_j e_j;
-    the affine constraint mu + sum nu_j = 1 is implied because the
-    weights sum to one on both sides. Does not use the ratio rule.
-    """
-    from scipy.optimize import linprog
-
+def _hull_equations(
+    lam: BarycentricState, x: BarycentricState, outcome: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equality system A v = lam of `hull_membership`, v = (mu, nu_j)."""
     n = x.n_outcomes
     if lam.n_outcomes != n:
         raise ValueError("dimension mismatch")
@@ -193,11 +188,24 @@ def hull_membership(lam: BarycentricState, x: BarycentricState, outcome: int) ->
         if j != outcome - 1:
             a_eq[j, col] = 1.0
             col += 1
+    return a_eq, lam.coords
+
+
+def hull_membership(lam: BarycentricState, x: BarycentricState, outcome: int) -> bool:
+    """Independent linear-feasibility test that `lam` lies in region `outcome`.
+
+    Solves for mu, nu_j >= 0 with lam = mu*x + sum_{j != outcome} nu_j e_j;
+    the affine constraint mu + sum nu_j = 1 is implied because the
+    weights sum to one on both sides. Does not use the ratio rule.
+    """
+    from scipy.optimize import linprog
+
+    a_eq, b_eq = _hull_equations(lam, x, outcome)
     res = linprog(
-        c=np.zeros(n),
+        c=np.zeros(len(b_eq)),
         A_eq=a_eq,
-        b_eq=lam.coords,
-        bounds=[(0, None)] * n,
+        b_eq=b_eq,
+        bounds=(0, None),
         method="highs",
     )
     return res.status == 0

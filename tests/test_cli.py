@@ -515,6 +515,82 @@ class TestConfigFile:
         )
         assert code == 2
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sample": 5000}))
+        assert run_cli(SIMULATE + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'sample'" in captured.err
+
+    def test_missing_required_option(self, capsys):
+        assert run_cli(["universal-exact", "--position", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cells is required" in captured.err
+
+    def test_config_supplies_a_required_option(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cells": 6, "position": 2}))
+        out = tmp_path / "u.json"
+        args = ["universal-exact", "--config", str(cfg), "--out", str(out)]
+        assert run_cli(args) == 0
+        assert read_json(out)["average"] == "2/3"
+
+
+#: each command with only its required options, and its built-in defaults
+DEFAULT_RUNS = {
+    "simulate": (
+        ["simulate", "--state", "0.2,0.3,0.5", "--seed", "3"],
+        {"density": "uniform", "samples": 1_000_000, "format": "csv"},
+    ),
+    "universal-exact": (
+        ["universal-exact", "--cells", "6", "--position", "2"],
+        {"target": "left", "table": False, "format": "json"},
+    ),
+    "identities": (["identities"], {"n_max": 60, "format": "json"}),
+    "approximate": (
+        ["approximate"],
+        {"target": "ramp", "m": 64, "ell": 64, "position": 0.5, "format": "json"},
+    ),
+    "robustness": (
+        ["robustness", "--state", "0.495,0.505", "--delta", "0.01,-0.01"]
+        + ["--epsilon-grid", "0.5,1.0"],
+        {"outcome": 1, "method": "analytic", "format": "csv"},
+    ),
+    # the sample count matters only with --method mc
+    "robustness-mc": (
+        ["robustness", "--state", "0.495,0.505", "--delta", "0.01,-0.01"]
+        + ["--epsilon-grid", "0.5", "--method", "mc", "--seed", "3"],
+        {"samples": 200_000},
+    ),
+    "dirac-limit": (
+        ["dirac-limit", "--state", "0.333,0.333,0.334"]
+        + ["--points", "0.5,0.3,0.2;0.2,0.5,0.3", "--epsilons", "0.1", "--seed", "3"],
+        {"samples": 100_000, "format": "csv"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_RUNS))
+def test_built_in_defaults(name, tmp_path):
+    """A run that leaves every default unset writes the same bytes as one
+    that spells the defaults out as flags, or in a config file."""
+    args, defaults = DEFAULT_RUNS[name]
+    args = args + ["--threads", "1"]
+    flags = []
+    for key, value in defaults.items():
+        if value is not False:  # a flag left off is at its default
+            flags += [f"--{key.replace('_', '-')}", str(value)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(defaults))
+    outputs = []
+    for extra in ([], flags, ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run_cli(args + extra + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(
@@ -595,6 +671,22 @@ def test_thread_env_var_sets_the_default(monkeypatch):
     assert _default_threads() == 2
     monkeypatch.delenv("MEMBRANESIM_THREADS")
     assert _default_threads() >= 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_thread_env_var_below_one_is_a_validation_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("MEMBRANESIM_THREADS", value)
+    args = ["simulate", "--state", "0.5,0.5", "--samples", "1000", "--seed", "1"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MEMBRANESIM_THREADS" in captured.err
+
+
+def test_thread_flag_does_not_read_the_env_var(monkeypatch, tmp_path):
+    monkeypatch.setenv("MEMBRANESIM_THREADS", "0")
+    args = ["simulate", "--state", "0.5,0.5", "--samples", "1000", "--seed", "1"]
+    assert run_cli(args + ["--threads", "1", "--out", str(tmp_path / "s.csv")]) == 0
 
 
 def test_console_script_entry_point(tmp_path):

@@ -18,7 +18,7 @@ from membranesim.simplex import (
     simplex_measure,
     to_internal_coords,
 )
-from membranesim.simplex import _breaking_ratios
+from membranesim.simplex import _breaking_ratios, _hull_equations
 
 
 def random_state(rng, n):
@@ -162,16 +162,36 @@ class TestRegionLabel:
 @pytest.mark.slow
 def test_region_oracle_agreement_bulk():
     """The ratio rule and the hull-feasibility oracle agree on every
-    non-boundary case, 10**4 random pairs per outcome count."""
+    non-boundary case, 10**4 random pairs per outcome count.
+
+    The pairs' feasibility systems are independent blocks of one linear
+    program per outcome count, which is feasible exactly when every block
+    is; if it is not, per-pair calls name the failing pair."""
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag
+
     rng = np.random.default_rng(123)
     for n in (2, 3, 4, 5, 6):
+        pairs = []
         for _ in range(10_000):
             x = random_state(rng, n)
             lam = random_state(rng, n)
             label = region_of(lam, x)
-            if label.is_boundary:
-                continue
-            assert hull_membership(lam, x, label.outcome)
+            if not label.is_boundary:
+                pairs.append((lam, x, label.outcome))
+        systems = [_hull_equations(*pair) for pair in pairs]
+        a_eq = block_diag([a for a, _ in systems], format="csr")
+        b_eq = np.concatenate([b for _, b in systems])
+        res = linprog(
+            c=np.zeros(a_eq.shape[1]),
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=(0, None),
+            method="highs",
+        )
+        if res.status != 0:
+            for lam, x, outcome in pairs:
+                assert hull_membership(lam, x, outcome), (lam, x, outcome)
 
 
 def test_region_oracle_agreement_bidirectional():
