@@ -414,8 +414,11 @@ _CONFIG_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
 
 
 def _check_config(config: dict, options: dict) -> None:
-    """Reject config keys that are not options, and values of the wrong type."""
+    """Reject config keys that are not options, a nested `config` key, and
+    values of the wrong type."""
     for key, value in config.items():
+        if key == "config":
+            raise ValueError("config key 'config' is not allowed: configs do not nest")
         if key not in options:
             raise ValueError(f"config key {key!r} is not an option of this command")
         opt = options[key]

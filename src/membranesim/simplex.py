@@ -161,15 +161,26 @@ def classify_batch(
     Returns (outcomes, on_boundary): 0-based outcome indices after the
     lowest-index tie-break, and the mask of points whose minimal ratio
     is attained more than once within TIE_RTOL, as in `region_of`'s
-    float path.
+    float path. The ratios are laid out one outcome per row, so every
+    reduction runs over contiguous rows of length `size`.
     """
     xs = x.coords
     if lams.ndim != 2 or lams.shape[1] != xs.size:
         raise ValueError("batch shape does not match the state dimension")
-    ratios = _breaking_ratios(lams, xs)
-    rmin = ratios.min(axis=1)
-    tied = ratios <= rmin[:, None] * (1.0 + TIE_RTOL)
-    return tied.argmax(axis=1), tied.sum(axis=1) > 1
+    n, size = xs.size, lams.shape[0]
+    ratios = np.empty((n, size))
+    for j in range(n):
+        if xs[j] > 0:
+            np.divide(lams[:, j], xs[j], out=ratios[j])
+        else:
+            ratios[j] = np.inf
+    bound = ratios.min(axis=0)
+    bound *= 1.0 + TIE_RTOL
+    tied = ratios <= bound
+    outcomes = np.full(size, n - 1, dtype=np.intp)
+    for j in range(n - 2, -1, -1):
+        outcomes[tied[j]] = j
+    return outcomes, np.count_nonzero(tied, axis=0) > 1
 
 
 def _hull_equations(

@@ -523,6 +523,19 @@ class TestConfigFile:
         assert captured.out == ""
         assert "'sample'" in captured.err
 
+    def test_nested_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        nested = tmp_path / "missing.json"
+        cfg.write_text(
+            json.dumps(
+                {"config": str(nested), "state": "0.5,0.5", "seed": 1, "samples": 1000}
+            )
+        )
+        assert run_cli(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'config'" in captured.err
+
     def test_missing_required_option(self, capsys):
         assert run_cli(["universal-exact", "--position", "2"]) == 2
         captured = capsys.readouterr()

@@ -119,6 +119,39 @@ class TestEstimate:
             se = standard_error(float(target), 1_000_000)
             assert abs(est.probabilities[i] - target) <= 4 * se
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "state, counts",
+        [
+            ([0.3, 0.7], [59808, 140192]),
+            ([0.2, 0.3, 0.5], [39892, 60099, 100009]),
+            (
+                [0.1, 0.1, 0.2, 0.2, 0.15, 0.25],
+                [20097, 19873, 39976, 39854, 30089, 50111],
+            ),
+            (
+                [0.05, 0.1, 0.0, 0.25, 0.3, 0.3],
+                [9885, 19948, 0, 49761, 60196, 60210],
+            ),
+        ],
+    )
+    def test_uniform_stream_is_pinned(self, state, counts, threads):
+        # recorded before classify_batch laid its ratios out one outcome per row
+        x = BarycentricState(state)
+        est = estimate(x, UniformDensity(len(state)), 200_000, 7, threads=threads)
+        assert est.counts.tolist() == counts
+        assert est.boundary_hits == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_boundary_stream_is_pinned(self, threads):
+        # x itself ties all three ratios; (0.4, 0.225, 0.375) ties outcomes 2 and 3
+        x = BarycentricState([0.2, 0.3, 0.5])
+        points = [x.coords, [0.5, 0.3, 0.2], [0.4, 0.225, 0.375], [0.1, 0.6, 0.3]]
+        rho = DiracMixtureDensity([BarycentricState(p) for p in points])
+        est = estimate(x, rho, 200_000, 7, threads=threads)
+        assert est.counts.tolist() == [100049, 49941, 50010]
+        assert est.boundary_hits == 99892
+
     def test_coverage_calibration(self):
         x = BarycentricState([0.3, 0.7])
         rho = UniformDensity(2)

@@ -117,7 +117,7 @@ def states_and_points(draw):
     """A rational state and rational breaking points: free ones, and ones
     on region boundaries, t*x + (1 - t)*e_k, whose ratios tie at t for
     every index but k."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 8))
     x = draw(rational_points(n))
     lams = draw(st.lists(rational_points(n), max_size=4))
     for _ in range(draw(st.integers(0, 4))):
@@ -133,11 +133,18 @@ def test_classify_batch_agrees_with_exact_region_of(case):
     x_exact, lams_exact = case
     x = BarycentricState(x_exact)
     lams = [BarycentricState(lam) for lam in lams_exact]
-    outcomes, on_boundary = classify_batch(np.array([lam.coords for lam in lams]), x)
-    for lam, outcome, boundary in zip(lams, outcomes, on_boundary):
-        label = region_of(lam, x)
-        assert outcome == label.outcome - 1
-        assert boundary == label.is_boundary
+    batch = np.array([lam.coords for lam in lams])
+    # NaN rows padded between the points make strided[::2] a non-contiguous view
+    strided = np.full((2 * len(lams), x.n_outcomes), np.nan)
+    strided[::2] = batch
+    labels = [region_of(lam, x) for lam in lams]
+    for view in (batch, np.asfortranarray(batch), strided[::2]):
+        outcomes, on_boundary = classify_batch(view, x)
+        assert outcomes.dtype == np.intp and on_boundary.dtype == bool
+        assert len(outcomes) == len(on_boundary) == len(labels)
+        for label, outcome, boundary in zip(labels, outcomes, on_boundary):
+            assert outcome == label.outcome - 1
+            assert boundary == label.is_boundary
 
 
 def test_classify_batch_resolves_a_rounded_tie_to_the_lowest_index():
