@@ -13,7 +13,8 @@ string, or true/false for a flag); explicit flags override config
 values, config values override built-in defaults, and required options
 may come from either. --threads defaults to the MEMBRANESIM_THREADS
 environment variable, which must be at least 1, else to the CPU count.
-The --out path is checked before any work and replaced whole at the end.
+The --out path is checked before any work and replaced whole at the end;
+without --out the data goes to stdout and the summary lines to stderr.
 Identical configuration and seed produce byte-identical output files;
 JSON reports carry a schema_version field, floats are written with 17
 significant digits, rationals as "p/q" and a missing value as null
@@ -26,6 +27,7 @@ Exit status: 0 on success, 2 when the configuration does not validate,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -69,7 +71,10 @@ def _fmt(value) -> str:
 def _parse_number(text: str):
     text = text.strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{text!r} divides by zero") from None
     return float(text)
 
 
@@ -465,7 +470,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        body, rows = _COMMANDS[args.command]["run"](args)
+        # without --out, stdout holds only the data; summary lines go to stderr
+        with contextlib.redirect_stdout(sys.stdout if args.out else sys.stderr):
+            body, rows = _COMMANDS[args.command]["run"](args)
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
         _write_output(payload, rows, args)
     except (ValueError, KeyError) as exc:

@@ -21,16 +21,18 @@ breaks is again k_i / k.
 
 Every enumerated result follows one contract. A single kernel visits
 each nonzero mask once and returns integer counts of masks by k and by
-the popcounts of the requested shifts. Integer dot products turn the
-counts into per-k integer sums S_k, and only the n final terms S_k / k
-become Fractions. No float enters the enumeration or the reduction.
+the popcounts (`np.bitwise_count`) of the requested shifts. Integer dot
+products turn the counts into per-k integer sums S_k. Each exact sum,
+over S_k / k here and over the binomial terms of the identities, is one
+integer numerator over one denominator, lcm(1..K), made into a single
+Fraction at the end. No float enters the enumeration or the reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -40,16 +42,6 @@ from .density import CellularMask
 MAX_ENUMERABLE_CELLS = 24
 #: masks visited per chunk during enumeration
 _CHUNK = 1 << 20
-
-_POP16 = np.zeros(1 << 16, dtype=np.uint8)
-for _b in range(16):
-    _POP16[1 << _b : 1 << (_b + 1)] = _POP16[: 1 << _b] + 1
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    """uint8 popcounts of non-negative integers below 2**32."""
-    return _POP16[a & 0xFFFF] + _POP16[a >> 16]
-
 
 @dataclass(frozen=True)
 class ElasticConfiguration1D:
@@ -111,10 +103,10 @@ def _mask_counts(n: int, shifts: tuple[int, ...], bit: int | None = None) -> np.
     counts = np.zeros(size, dtype=np.int64)
     for start in range(1, 1 << n, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        index = _popcount(masks).astype(np.intp)
+        index = np.bitwise_count(masks).astype(np.intp)
         for s, d in zip(shifts, dims[1:]):
             index *= d
-            index += _popcount(masks >> s)
+            index += np.bitwise_count(masks >> s)
         if bit is not None:
             index *= 2
             index += (masks >> bit) & 1
@@ -122,11 +114,12 @@ def _mask_counts(n: int, shifts: tuple[int, ...], bit: int | None = None) -> np.
     return counts.reshape(dims)
 
 
-def _per_k_total(sums: np.ndarray) -> Fraction:
-    """Exact sum of sums[k] / k over k = 1..len(sums) - 1."""
-    return sum(
-        (Fraction(int(sums[k]), k) for k in range(1, len(sums))), Fraction(0)
-    )
+def _per_k_total(sums) -> Fraction:
+    """Exact sum of sums[k] / k over k = 1..K, K = len(sums) - 1, for
+    integer sums: one integer numerator over lcm(1..K), then one Fraction."""
+    denominator = lcm(*range(1, len(sums)))
+    numerator = sum(int(s) * (denominator // k) for k, s in enumerate(sums) if k)
+    return Fraction(numerator, denominator)
 
 
 def universal_average_1d(n: int, i: int, target: str = "left") -> Fraction:
@@ -166,14 +159,13 @@ def universal_average_abstract(n_cells: int, cells_in_complement: int) -> Fracti
 def binomial_identity_a(n: int) -> tuple[Fraction, Fraction]:
     """Sum of k/(k+1) * C(n, k) versus its closed form (2**n (n-1) + 1)/(n+1).
 
-    The left side is summed term by term in exact arithmetic, the right
-    side instantiated independently; a mismatch raises.
+    The left side is an exact `_per_k_total`, term k placed at index
+    k + 1; the right side is instantiated independently. A mismatch
+    raises.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    lhs = sum(
-        (Fraction(k, k + 1) * comb(n, k) for k in range(n + 1)), Fraction(0)
-    )
+    lhs = _per_k_total([0, *(k * comb(n, k) for k in range(n + 1))])
     rhs = Fraction((1 << n) * (n - 1) + 1, n + 1)
     if lhs != rhs:
         raise ArithmeticError(f"identity failed at n={n}: {lhs} != {rhs}")
@@ -184,9 +176,7 @@ def binomial_identity_b(n: int) -> tuple[Fraction, Fraction]:
     """Sum of 1/(k+1) * C(n, k) versus its closed form (2**(n+1) - 1)/(n+1)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    lhs = sum(
-        (Fraction(1, k + 1) * comb(n, k) for k in range(n + 1)), Fraction(0)
-    )
+    lhs = _per_k_total([0, *(comb(n, k) for k in range(n + 1))])
     rhs = Fraction((1 << (n + 1)) - 1, n + 1)
     if lhs != rhs:
         raise ArithmeticError(f"identity failed at n={n}: {lhs} != {rhs}")
@@ -263,12 +253,8 @@ def recurrence_step_check(n: int, i: int) -> RecurrenceReport:
     closed_i = total * transition_of_uniform(n, i)
     closed_i1 = total * transition_of_uniform(n, i + 1)
     closed_diff = -Fraction(total, n)
-    binom_nm1 = -sum(
-        (Fraction(comb(n - 1, k), k + 1) for k in range(n)), Fraction(0)
-    )
-    binom_n = -sum(
-        (Fraction(comb(n, k), k + 1) for k in range(n + 1)), Fraction(0)
-    )
+    binom_nm1 = -_per_k_total([0, *(comb(n - 1, k) for k in range(n))])
+    binom_n = -_per_k_total([0, *(comb(n, k) for k in range(n + 1))])
     if difference == binom_nm1:
         convention = "n-1"
     elif difference == binom_n:

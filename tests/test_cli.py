@@ -202,6 +202,49 @@ class TestSimulate:
         assert "disagrees" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["simulate", "--state", "1/0,1", "--samples", "10"], None),
+        (
+            ["dirac-limit", "--state", "0.5,0.5", "--points", "1/0,0,1"]
+            + ["--epsilons", "0.1", "--samples", "10"],
+            None,
+        ),
+        (["simulate", "--samples", "10"], {"state": "0.5,1/0"}),
+    ],
+    ids=["state", "points", "config-state"],
+)
+def test_division_by_zero_in_a_rational_is_a_validation_error(
+    args, config, tmp_path, capsys
+):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    assert run_cli(args + ["--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "divides by zero" in captured.err
+
+
+class TestStdoutHoldsOnlyData:
+    def test_universal_exact_json(self, capsys):
+        args = ["universal-exact", "--cells", "6", "--position", "2"]
+        assert run_cli(args + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["average"] == "2/3"
+        assert "equal=true" in captured.err
+
+    def test_simulate_csv(self, capsys):
+        args = ["simulate", "--state", "0.3,0.7", "--samples", "1000", "--seed", "1"]
+        assert run_cli(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("outcome_index,count,p_hat,ci_lo,ci_hi\n")
+        assert len(list(csv.DictReader(captured.out.splitlines()))) == 2
+        assert "p_hat" in captured.err
+
+
 class TestOutPath:
     def test_missing_directory_fails_before_any_work(
         self, tmp_path, monkeypatch, capsys

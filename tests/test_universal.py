@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,35 @@ def brute_recurrence(n, i):
             sums["split"] += p_i1
             sums["shifted"] += p_i
     return sums
+
+
+def _comb(n, k):
+    return comb(n, k) if k >= 0 else 0
+
+
+def closed_form_counts(n, i):
+    """Independent oracle for _mask_counts(n, (i,)): a mask with r
+    breakable cells among the n - i above bit i and k - r among the i
+    below it; the zero mask is not enumerated."""
+    counts = np.zeros((n + 1, n - i + 1), dtype=np.int64)
+    for k in range(n + 1):
+        for r in range(n - i + 1):
+            counts[k, r] = _comb(i, k - r) * comb(n - i, r)
+    counts[0, 0] -= 1
+    return counts
+
+
+def closed_form_split_counts(n, i):
+    """Independent oracle for _mask_counts(n, (i, i + 1), bit=i): entry
+    [k, r + b, r, b] counts masks with bit i equal to b, r breakable
+    cells above it and k - r - b below it."""
+    counts = np.zeros((n + 1, n - i + 1, n - i, 2), dtype=np.int64)
+    for k in range(n + 1):
+        for r in range(n - i):
+            for b in range(2):
+                counts[k, r + b, r, b] = _comb(i, k - r - b) * comb(n - i - 1, r)
+    counts[0, 0, 0, 0] -= 1
+    return counts
 
 
 def config(mask_text, i):
@@ -260,6 +291,46 @@ class TestRecurrenceStep:
             recurrence_step_check(2, 1)
         with pytest.raises(ValueError):
             recurrence_step_check(5, 4)
+
+
+class TestMaskCounts:
+    """The enumeration kernel against closed-form counts, past 2**16
+    masks and across more than one chunk, where the brute oracles
+    above (n <= 8) do not reach."""
+
+    @pytest.mark.parametrize("n, i", [(17, 5), (21, 1), (21, 13), (24, 6)])
+    def test_one_shift(self, n, i):
+        np.testing.assert_array_equal(
+            universal._mask_counts(n, (i,)), closed_form_counts(n, i)
+        )
+
+    @pytest.mark.parametrize("n, i", [(17, 9), (21, 2), (24, 17)])
+    def test_two_shifts_and_a_bit(self, n, i):
+        np.testing.assert_array_equal(
+            universal._mask_counts(n, (i, i + 1), bit=i),
+            closed_form_split_counts(n, i),
+        )
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_NEAR_2_62 = st.integers(2**62 - 2**20, 2**62 + 2**20)
+
+
+class TestPerKTotal:
+    @given(
+        st.lists(
+            st.one_of(st.just(0), _INT64, _NEAR_2_62, _NEAR_2_62.map(lambda v: -v)),
+            min_size=1,
+            max_size=400,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_term_by_term_sum(self, values):
+        sums = np.array(values, dtype=np.int64)
+        expected = sum(
+            (Fraction(int(s), k) for k, s in enumerate(sums) if k), Fraction(0)
+        )
+        assert universal._per_k_total(sums) == expected
 
 
 class TestReports:
