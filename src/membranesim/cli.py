@@ -17,8 +17,9 @@ The --out path is checked before any work and replaced whole at the end;
 without --out the data goes to stdout and the summary lines to stderr.
 Identical configuration and seed produce byte-identical output files;
 JSON reports carry a schema_version field, floats are written with 17
-significant digits, rationals as "p/q" and a missing value as null
-(an empty CSV field).
+significant digits, a missing value as null (an empty CSV field), and
+rationals as `str` writes a Fraction: "p/q", or the integer "p" when the
+value is integral.
 
 Exit status: 0 on success, 2 when the configuration does not validate,
 3 when a validated run fails.
@@ -59,8 +60,6 @@ APPROXIMATION_TARGETS = {
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -83,7 +82,7 @@ def _parse_state(text: str) -> BarycentricState:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",")]
+    return [float(_parse_number(p)) for p in text.split(",")]
 
 
 def _parse_points(text: str) -> list[BarycentricState]:
@@ -117,10 +116,18 @@ def _default_threads() -> int:
     return threads
 
 
+def _json_value(value) -> str:
+    """`json.dumps` hook: a Fraction as its str, anything else an error."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_output(payload: dict, rows: list[dict], args) -> None:
     """Emit `rows` as CSV or the full `payload` as JSON, to --out or stdout."""
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_value)
+        text += "\n"
     else:
         buf = io.StringIO()
         if rows:
@@ -152,16 +159,6 @@ def _check_out(path: str) -> None:
         raise ValueError(f"--out {path!r} is not a file in a writable directory")
 
 
-def _json_rows(rows: list[dict]) -> list[dict]:
-    out = []
-    for row in rows:
-        jrow = {}
-        for key, val in row.items():
-            jrow[key] = _fmt(val) if isinstance(val, Fraction) else val
-        out.append(jrow)
-    return out
-
-
 def _cmd_simulate(args):
     state = _parse_state(args.state)
     density = _parse_density(args.density, state.n_outcomes)
@@ -177,7 +174,7 @@ def _cmd_simulate(args):
         n_samples=result.n_samples,
         seed=args.seed,
         boundary_hits=result.boundary_hits,
-        outcomes=_json_rows(rows),
+        outcomes=rows,
     )
     return payload, rows
 
@@ -208,7 +205,7 @@ def _cmd_universal_exact(args):
         f"n={args.cells} position={args.position}: average={_fmt(avg)} "
         f"uniform={_fmt(uniform)} equal={str(avg == uniform).lower()}"
     )
-    return _json_rows([row])[0], [row]
+    return row, [row]
 
 
 def _cmd_identities(args):

@@ -51,6 +51,8 @@ GRID_SUBSAMPLES = 256
 MAX_REJECTION_ROUNDS = 10_000
 #: most lattice points a grid density maps at once
 _CHUNK_POINTS = 2**16
+#: most m * ell cells of a cellular approximation; each cell is a Python bool
+MAX_APPROXIMATION_CELLS = 1 << 22
 
 
 class NotAnalyticError(Exception):
@@ -620,6 +622,11 @@ def cellular_approximation(target_cdf, m: int, ell: int) -> Cellular1DDensity:
     """
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be positive")
+    if m * ell > MAX_APPROXIMATION_CELLS:
+        raise ValueError(
+            f"m * ell = {m * ell} cells exceeds the bound of "
+            f"{MAX_APPROXIMATION_CELLS} cells"
+        )
     masses = []
     prev = 0.0
     for i in range(1, m + 1):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -178,9 +179,10 @@ def estimate(
 
     Each sample draws a breaking point from `rho` and classifies its
     region; boundary ties resolve to the lowest index and are tallied in
-    `boundary_hits`. Deterministic given (x, rho, n_samples, seed),
-    whatever the thread count; `seed` may not be None, which would draw
-    fresh entropy for every block.
+    `boundary_hits`. Blocks run on at most `threads` workers, and on no
+    more than the CPU count. Deterministic given (x, rho, n_samples,
+    seed), whatever the thread count; `seed` may not be None, which would
+    draw fresh entropy for every block.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -199,7 +201,8 @@ def estimate(
         outcomes, on_boundary = classify_batch(lams, x)
         return np.bincount(outcomes, minlength=n), int(on_boundary.sum())
 
-    workers = min(threads, len(sizes))
+    # an executor starts one OS thread per block while none is idle
+    workers = min(threads, len(sizes), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(block, range(len(sizes))))

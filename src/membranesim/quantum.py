@@ -12,37 +12,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simplex import SUM_TOL, BarycentricState
+from .simplex import BarycentricState
 
 
 class QuantumState:
     """N-outcome pure state in polar (weight, phase) form.
 
-    `moduli_sq` are the squared amplitude moduli and must sum to one
-    within SUM_TOL; `phases` are radians and default to zero. Outcome
-    eigenvalues, when physically meaningful, can be attached as
-    `labels`; they play no role in any computation here.
+    `moduli_sq` are the squared amplitude moduli, validated as the
+    weights of a `BarycentricState`; `phases` are radians and default to
+    zero. Outcome eigenvalues, when physically meaningful, can be
+    attached as `labels`; they play no role in any computation here.
     """
 
     __slots__ = ("moduli_sq", "phases", "labels")
 
     def __init__(self, moduli_sq, phases=None, labels=None):
-        m = np.asarray(moduli_sq, dtype=float)
-        if m.ndim != 1 or m.size < 2:
-            raise ValueError("a state needs at least two amplitudes")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("squared moduli must be finite")
-        if np.any(m < 0.0):
-            raise ValueError("squared moduli must be non-negative")
-        if abs(m.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"squared moduli sum to {m.sum():.17g}, expected 1")
+        m = BarycentricState(np.asarray(moduli_sq, dtype=float)).coords
         if phases is None:
             p = np.zeros(m.size)
         else:
             p = np.asarray(phases, dtype=float)
             if p.shape != m.shape:
                 raise ValueError("phases must match the amplitudes in length")
-        m.flags.writeable = False
         p.flags.writeable = False
         self.moduli_sq = m
         self.phases = p

@@ -25,19 +25,19 @@ measurement becomes a mixture of deterministic collapses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .density import (
     BallComplement,
     CentroidNeighborhood,
+    DiracMixtureDensity,
     TruncatedUniformDensity,
     UniformDensity,
     truncate,
 )
 from .montecarlo import estimate, standard_error
-from .simplex import SUM_TOL, BarycentricState, region_of
+from .simplex import SUM_TOL, BarycentricState
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,11 @@ def robustness_sweep(
     |dx_outcome| / epsilon.
 
     `control_factory` maps an epsilon to a ControlRegion and defaults to
-    the centroid neighbourhood. The analytic path needs a two-outcome
-    geometry with an interval description; the Monte Carlo path needs a
-    seed, runs on `threads` workers and reports the combined standard
-    error of each measured value. A zero prediction has ratio None.
+    the centroid neighbourhood; the region for every epsilon is built,
+    and so validated, before any sampling. The analytic path needs a
+    two-outcome geometry with an interval description; the Monte Carlo
+    path needs a seed, runs on `threads` workers and reports the
+    combined standard error of each measured value. A zero prediction has ratio None.
     The report flags the threshold epsilon where the scaling law starts
     to hold; thresholds are exact for two outcomes under the default
     geometry and geometry-dependent estimates otherwise.
@@ -131,11 +132,9 @@ def robustness_sweep(
         tilde_exact = False
 
     grid = [float(e) for e in epsilon_grid]
-    if any(not 0.0 < e <= 1.0 for e in grid):
-        raise ValueError("epsilon values must lie in (0, 1]")
+    densities = [truncate(UniformDensity(n), control_factory(e)) for e in grid]
     measured, predicted, errors = [], [], []
-    for idx, eps in enumerate(grid):
-        density = truncate(UniformDensity(n), control_factory(eps))
+    for idx, (eps, density) in enumerate(zip(grid, densities)):
         if method == "analytic":
             p_a = float(density.region_probability(x, outcome))
             p_b = float(density.region_probability(x_moved, outcome))
@@ -195,36 +194,22 @@ def dirac_limit_demo(
     """Shrink ball-shaped breakable zones around `points` and watch the
     outcome distribution converge to the classification of the points.
 
-    The target distribution weighs each point 1/k and assigns it to its
-    collapse region (lowest index on a tie). Ball geometry is validated
-    at the largest epsilon requested, so overlapping balls or balls
-    poking out of the simplex fail before any sampling; smaller epsilons
-    reuse the same centres with smaller radii and stay valid.
+    The target distribution is the exact region probabilities of the
+    uniform point-mass mixture on `points`, each rounded to float once.
+    The ball-shaped zone for every epsilon is built before any sampling,
+    so an epsilon outside (0, 1], coincident or overlapping balls, or a
+    ball poking out of the simplex fail first.
     """
     if seed is None:
         raise ValueError("the Dirac limit demo samples; it needs a seed")
     points = list(points)
-    if len(points) < 1:
-        raise ValueError("need at least one point")
-    coords = np.array([p.coords for p in points])
-    if len(points) > 1:
-        gaps = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
-        if np.any(gaps[np.triu_indices(len(points), k=1)] == 0.0):
-            raise ValueError("points must be pairwise distinct")
     eps_seq = [float(e) for e in epsilon_sequence]
-    if any(not 0.0 < e <= 1.0 for e in eps_seq):
-        raise ValueError("epsilon values must lie in (0, 1]")
-    BallComplement(points, max(eps_seq))  # geometry check at the largest zone
-
-    n = x.n_outcomes
-    weight = Fraction(1, len(points))
-    target = np.zeros(n)
-    for p in points:
-        target[region_of(p, x).outcome - 1] += float(weight)
+    densities = [TruncatedUniformDensity(BallComplement(points, e)) for e in eps_seq]
+    mixture = DiracMixtureDensity(points)
+    target = np.array(mixture.region_probabilities(x), dtype=float)
 
     distributions, tvs = [], []
-    for idx, eps in enumerate(eps_seq):
-        density = TruncatedUniformDensity(BallComplement(points, eps))
+    for idx, density in enumerate(densities):
         seq = np.random.SeedSequence(seed, spawn_key=(idx,))
         est = estimate(x, density, n_samples, seq, threads)
         probs = est.probabilities

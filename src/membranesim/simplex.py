@@ -68,10 +68,11 @@ class BarycentricState:
     def __init__(self, coords):
         if isinstance(coords, np.ndarray):
             exact = None
+            arr = np.array(coords, dtype=float)
         else:
             coords = tuple(coords)
             exact = _as_exact(coords)
-        arr = np.array([float(c) for c in coords], dtype=float)
+            arr = np.array([float(c) for c in coords], dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a state needs at least two outcome weights")
         if not np.all(np.isfinite(arr)):
@@ -81,8 +82,12 @@ class BarycentricState:
         if exact is not None:
             if sum(exact) != 1:
                 raise ValueError("exact weights must sum to exactly 1")
-        elif abs(arr.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {arr.sum():.17g}, expected 1")
+        else:
+            # finite weights can overflow their sum to inf, rejected just below
+            with np.errstate(over="ignore"):
+                total = arr.sum()
+            if abs(total - 1.0) > SUM_TOL:
+                raise ValueError(f"weights sum to {total:.17g}, expected 1")
         arr.flags.writeable = False
         self.coords = arr
         self.exact_coords = exact
@@ -92,8 +97,8 @@ class BarycentricState:
         return self.coords.size
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(c) for c in (self.exact_coords or self.coords))
-        return f"BarycentricState([{inner}])"
+        coords = self.exact_coords or self.coords.tolist()
+        return f"BarycentricState([{', '.join(map(repr, coords))}])"
 
 
 @dataclass(frozen=True)

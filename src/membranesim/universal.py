@@ -40,6 +40,8 @@ from .density import CellularMask
 
 #: guard on full-mask enumeration; 2**24 masks take a few seconds
 MAX_ENUMERABLE_CELLS = 24
+#: largest n_max of the identity table; n_max = 600 takes a few seconds
+MAX_IDENTITY_N = 600
 #: masks visited per chunk during enumeration
 _CHUNK = 1 << 20
 
@@ -319,8 +321,10 @@ def theorem_report(max_cells: int) -> dict:
 
 def identity_report(n_max: int) -> dict:
     """JSON-ready table of both binomial identities for n up to n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    if not 0 <= n_max <= MAX_IDENTITY_N:
+        raise ValueError(
+            f"n_max must be non-negative and at most {MAX_IDENTITY_N}, got {n_max}"
+        )
     rows = []
     for n in range(n_max + 1):
         lhs_a, rhs_a = binomial_identity_a(n)

@@ -1,12 +1,14 @@
+import argparse
 import csv
 import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from membranesim import cli
+from membranesim import cli, universal
 from membranesim.cli import main
 
 
@@ -280,6 +282,18 @@ class TestOutPath:
         assert list(tmp_path.iterdir()) == [out]
 
 
+class TestJsonHook:
+    def test_fractions_print_as_text(self, capsys):
+        args = argparse.Namespace(format="json", out=None)
+        cli._write_output({"a": Fraction(3, 5), "b": Fraction(2)}, [], args)
+        assert json.loads(capsys.readouterr().out) == {"a": "3/5", "b": "2"}
+
+    def test_anything_else_is_an_error(self):
+        args = argparse.Namespace(format="json", out=None)
+        with pytest.raises(TypeError):
+            cli._write_output({"a": object()}, [], args)
+
+
 class TestUniversalExact:
     def test_single_query(self, tmp_path, capsys):
         out = tmp_path / "u.json"
@@ -329,6 +343,17 @@ class TestIdentities:
         assert "non-negative" in captured.err
         assert captured.out == ""
 
+    def test_n_max_above_the_bound_fails_before_any_work(self, monkeypatch, capsys):
+        def must_not_run(n):
+            raise AssertionError("an identity ran before n_max was checked")
+
+        monkeypatch.setattr(universal, "binomial_identity_a", must_not_run)
+        n_max = str(universal.MAX_IDENTITY_N + 1)
+        assert run_cli(["identities", "--n-max", n_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(universal.MAX_IDENTITY_N) in captured.err
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "ids.csv"
         assert run_cli(
@@ -361,6 +386,17 @@ class TestApproximate:
         payload = read_json(out)
         assert payload["p_exact"] == pytest.approx(0.25)
         assert payload["abs_error"] < 0.02
+
+    def test_too_many_cells_fail_before_any_work(self, monkeypatch, capsys):
+        def must_not_run(u):
+            raise AssertionError("the target CDF ran before the cells were counted")
+
+        monkeypatch.setitem(cli.APPROXIMATION_TARGETS, "ramp", must_not_run)
+        args = ["approximate", "--target", "ramp", "--m", "4096", "--ell", "1025"]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cells" in captured.err
 
     def test_unknown_target(self, capsys):
         # argparse rejects the choice itself, with the same exit status
@@ -439,6 +475,16 @@ class TestRobustnessCommand:
         assert run_cli(args + ["--format", "csv", "--out", str(out)]) == 0
         assert [r["ratio"] for r in read_csv(out)] == ["", ""]
 
+    def test_rationals_parse_like_their_decimals(self, tmp_path):
+        args = ["robustness", "--state", "0.495,0.505"]
+        outputs = []
+        for delta, grid in [("1/100,-1/100", "1/2,1"), ("0.01,-0.01", "0.5,1")]:
+            out = tmp_path / f"{len(outputs)}.csv"
+            extra = ["--delta", delta, "--epsilon-grid", grid, "--out", str(out)]
+            assert run_cli(args + extra) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestDiracLimitCommand:
     def test_run(self, tmp_path):
@@ -484,6 +530,14 @@ class TestDiracLimitCommand:
             ]
         )
         assert code == 2
+
+    def test_epsilon_dividing_by_zero_is_a_validation_error(self, capsys):
+        args = ["dirac-limit", "--state", "0.5,0.5", "--points", "0.5,0.5"]
+        args += ["--epsilons", "1/0", "--samples", "10", "--seed", "1"]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "divides by zero" in captured.err
 
 
 SIMULATE = ["simulate", "--state", "0.5,0.5", "--seed", "1"]

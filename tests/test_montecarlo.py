@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from membranesim import montecarlo
 from membranesim.density import (
     Cellular1DDensity,
     CellularMask,
@@ -183,6 +184,28 @@ class TestEstimate:
             estimate(BarycentricState([0.5, 0.5]), UniformDensity(2), 100_000, None)
         with pytest.raises(ValueError, match="seed"):
             estimate_universal(BarycentricState([0.5, 0.5]), 4, 100_000, None)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # a stand-in executor that starts no thread records the pool size
+        asked = []
+
+        class NoPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                raise RuntimeError("no pool in this test")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        x, rho = BarycentricState([0.5, 0.5]), UniformDensity(2)
+        with pytest.raises(RuntimeError, match="no pool"):
+            estimate(x, rho, 5 * montecarlo.BLOCK_SIZE, 1, threads=5000)
+        assert asked == [2]
+        # an unknown CPU count runs on one thread, with no pool at all
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        serial = estimate(x, rho, 3 * montecarlo.BLOCK_SIZE, 1, threads=5000)
+        assert asked == [2]
+        reference = estimate(x, rho, 3 * montecarlo.BLOCK_SIZE, 1)
+        assert np.array_equal(serial.counts, reference.counts)
 
 
 class TestSubstream:

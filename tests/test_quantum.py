@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ def test_normalization_is_enforced():
 def test_non_finite_moduli_are_rejected():
     with pytest.raises(ValueError, match="finite"):
         QuantumState([np.nan, 1.0])
+
+
+def test_two_dimensional_moduli_are_rejected():
+    with pytest.raises(ValueError):
+        QuantumState(np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def test_overflowing_moduli_are_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sum to inf"):
+            QuantumState([1e308, 1e308])
 
 
 def test_output_sums_to_one():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from membranesim import robustness
 from membranesim.density import CentroidNeighborhood, IntervalControl
 from membranesim.robustness import (
     dirac_limit_demo,
@@ -176,6 +177,20 @@ class TestDiracLimit:
         assert report.target_distribution == (1.0, 0.0, 0.0)
         assert report.distributions[-1] == pytest.approx((1.0, 0.0, 0.0))
 
+    def test_target_is_the_exact_mixture_probability(self):
+        # three of five points in region 1: the target is float(3/5), not
+        # a float sum of five 1/5 terms
+        x = BarycentricState([1 / 3, 1 / 3, 1 / 3])
+        pts = [
+            BarycentricState([0.1, 0.5, 0.4]),
+            BarycentricState([0.15, 0.35, 0.5]),
+            BarycentricState([0.2, 0.55, 0.25]),
+            BarycentricState([0.5, 0.3, 0.2]),
+            BarycentricState([0.3, 0.2, 0.5]),
+        ]
+        report = dirac_limit_demo(x, pts, [0.01], n_samples=1000, seed=1)
+        assert report.target_distribution == (0.6, 0.2, 0.2)
+
     def test_threads_do_not_change_the_result(self):
         x = BarycentricState([1 / 3, 1 / 3, 1 / 3])
         pts = [BarycentricState([0.5, 0.3, 0.2]), BarycentricState([0.2, 0.5, 0.3])]
@@ -196,6 +211,23 @@ class TestDiracLimit:
         pts = [BarycentricState([0.5, 0.3, 0.2]), BarycentricState([0.2, 0.5, 0.3])]
         with pytest.raises(ValueError):
             dirac_limit_demo(x, pts, [0.9, 0.1], n_samples=100, seed=1)
+
+
+@pytest.mark.parametrize("bad_epsilon", [0.0, 1.5])
+def test_every_epsilon_is_checked_before_any_sampling(bad_epsilon, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sampling started before every epsilon was checked")
+
+    monkeypatch.setattr(robustness, "estimate", must_not_run)
+    x = BarycentricState([1 / 3, 1 / 3, 1 / 3])
+    grid = [0.5, bad_epsilon]
+    with pytest.raises(ValueError, match="epsilon"):
+        robustness_sweep(
+            x, [0.01, -0.01, 0.0], grid, method="mc", n_samples=100, seed=1
+        )
+    pts = [BarycentricState([0.5, 0.3, 0.2])]
+    with pytest.raises(ValueError, match="epsilon"):
+        dirac_limit_demo(x, pts, [0.01, bad_epsilon], n_samples=100, seed=1)
 
 
 def test_default_geometry_is_centroid():

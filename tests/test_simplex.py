@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,24 @@ class TestBarycentricState:
         s = BarycentricState([0.5, 0.5])
         with pytest.raises(ValueError):
             s.coords[0] = 0.9
+
+    def test_rejects_a_two_dimensional_array(self):
+        with pytest.raises(ValueError, match="at least two"):
+            BarycentricState(np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+    def test_overflowing_sum_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum to inf"):
+                BarycentricState([1e308, 1e308])
+
+    def test_repr_shows_plain_floats_and_fractions(self):
+        assert repr(BarycentricState(np.array([0.5, 0.3, 0.2]))) == (
+            "BarycentricState([0.5, 0.3, 0.2])"
+        )
+        assert repr(BarycentricState([Fraction(1, 2), Fraction(1, 2)])) == (
+            "BarycentricState([Fraction(1, 2), Fraction(1, 2)])"
+        )
 
 
 class TestRegionOf:
