@@ -31,7 +31,8 @@ from .simplex import BarycentricState, classify_batch
 BLOCK_SIZE = 1 << 16
 #: two-sided 95% normal quantile used by the Wilson intervals
 WILSON_Z = 1.959963984540054
-#: rejection-free cap on two-level mask sampling
+#: cell cap for two-level mask sampling, which selects each draw's
+#: breakable cell on its mask as a 32-bit unsigned integer
 MAX_UNIVERSAL_CELLS = 30
 
 
@@ -91,7 +92,7 @@ class TransitionEstimate:
     def from_counts(
         cls, counts: np.ndarray, boundary_hits: int, n_samples: int
     ) -> "TransitionEstimate":
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)
         if counts.sum() != n_samples:
             raise ValueError("counts must sum to the number of samples")
         lo, hi = wilson_interval(counts, n_samples)
@@ -151,20 +152,44 @@ class _RandomMaskDensity(Density):
     """Breaking points of the two-outcome segment under a cellular
     structure drawn afresh for every point, uniformly among the
     2**n_cells - 1 nonzero masks, then uniform over its breakable cells.
-    Rows are masks as integer bit patterns, so no object per mask."""
+
+    Rows are masks as integer bit patterns, so no object per mask. The
+    r-th breakable cell of a mask is found by halving a window over its
+    bits: count the set bits of the low half, and move into the high
+    half past them when they are at most r. That takes
+    ceil(log2(n_cells)) passes over 1-D uint8 and uint32 vectors, so
+    memory is O(size) whatever `n_cells` is; the uint32 masks are why
+    `n_cells` is capped at MAX_UNIVERSAL_CELLS.
+    """
 
     n_outcomes = 2
 
     def __init__(self, n_cells: int):
+        if not 1 <= n_cells <= MAX_UNIVERSAL_CELLS:
+            raise ValueError(
+                f"n_cells must be in 1..{MAX_UNIVERSAL_CELLS}, where uniform "
+                f"nonzero-mask sampling is guaranteed"
+            )
         self.n_cells = n_cells
-        self._bit_idx = np.arange(n_cells, dtype=np.int64)
 
     def sample_batch(self, rng, size):
-        masks = rng.integers(1, 1 << self.n_cells, size=size, dtype=np.int64)
-        cum = np.cumsum((masks[:, None] >> self._bit_idx) & 1, axis=1)
-        r = rng.integers(0, cum[:, -1])
-        cell = (cum <= r[:, None]).sum(axis=1)
-        pos = (cell + rng.random(size)) / self.n_cells
+        # drawn as int64, the dtype the pinned streams were drawn with
+        bits = rng.integers(
+            1, 1 << self.n_cells, size=size, dtype=np.int64
+        ).astype(np.uint32)
+        r = rng.integers(0, np.bitwise_count(bits)).astype(np.uint8)
+        u = rng.random(size)
+        cell = np.zeros(size, dtype=np.uint8)
+        width = 1 << (self.n_cells - 1).bit_length()
+        while width > 1:
+            width >>= 1
+            low = np.bitwise_count(bits & ((1 << width) - 1))
+            high = low <= r
+            r -= low * high
+            step = high * np.uint8(width)
+            cell += step
+            bits >>= step
+        pos = (cell + u) / self.n_cells
         return np.column_stack([pos, 1.0 - pos])
 
 
@@ -230,11 +255,6 @@ def estimate_universal(
     """
     if x.n_outcomes != 2:
         raise ValueError("two-level estimation runs on the two-outcome segment")
-    if not 1 <= n_cells <= MAX_UNIVERSAL_CELLS:
-        raise ValueError(
-            f"n_cells must be in 1..{MAX_UNIVERSAL_CELLS}, where uniform "
-            f"nonzero-mask sampling is guaranteed"
-        )
     return estimate(x, _RandomMaskDensity(n_cells), n_mask_draws, seed, threads)
 
 

@@ -31,9 +31,11 @@ class QuantumState:
         if phases is None:
             p = np.zeros(m.size)
         else:
-            p = np.asarray(phases, dtype=float)
+            p = np.array(phases, dtype=float)
             if p.shape != m.shape:
                 raise ValueError("phases must match the amplitudes in length")
+            if not np.all(np.isfinite(p)):
+                raise ValueError("phases must be finite")
         p.flags.writeable = False
         self.moduli_sq = m
         self.phases = p

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ class TestTransitionEstimate:
         lines = est.summary_lines()
         assert len(lines) == 2
         assert lines[0].startswith("outcome 1:")
+
+    def test_leaves_the_callers_counts_writeable(self):
+        counts = np.array([700, 300], dtype=np.int64)
+        est = TransitionEstimate.from_counts(counts, 0, 1000)
+        assert counts.flags.writeable
+        assert not est.counts.flags.writeable
+        counts[0] = 0
+        assert est.counts.tolist() == [700, 300]
 
 
 class TestEstimate:
@@ -265,6 +274,21 @@ class TestEstimateUniversal:
         assert est.counts.tolist() == counts
         assert est.boundary_hits == 0
 
+    @pytest.mark.parametrize(
+        "n_cells, weights, seed, counts",
+        [
+            (20, [0.35, 0.65], 13, [70177, 129823]),
+            (20, [0.35, 0.65], 2024, [69878, 130122]),
+            (30, [0.6, 0.4], 13, [119935, 80065]),
+            (30, [0.6, 0.4], 2024, [119824, 80176]),
+        ],
+    )
+    def test_stream_is_pinned_at_many_cells(self, n_cells, weights, seed, counts):
+        # recorded with the cumulative-sum cell selection
+        est = estimate_universal(BarycentricState(weights), n_cells, 200_000, seed)
+        assert est.counts.tolist() == counts
+        assert est.boundary_hits == 0
+
     def test_bounds(self):
         x = BarycentricState([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -275,6 +299,45 @@ class TestEstimateUniversal:
             estimate_universal(x, 0, 10, seed=0)
         with pytest.raises(ValueError):
             estimate_universal(x, 4, 0, seed=0)
+
+
+class TestRandomMaskDensity:
+    @pytest.mark.parametrize("n_cells", range(1, montecarlo.MAX_UNIVERSAL_CELLS + 1))
+    def test_matches_the_plain_python_selection(self, n_cells):
+        size, seed = 2000, 100 + n_cells
+        twin = np.random.default_rng(seed)
+        masks = twin.integers(1, 1 << n_cells, size=size, dtype=np.int64).tolist()
+        ranks = twin.integers(0, [bin(m).count("1") for m in masks]).tolist()
+        u = twin.random(size)
+        cell = np.array(
+            [
+                [c for c in range(n_cells) if m >> c & 1][r]
+                for m, r in zip(masks, ranks)
+            ]
+        )
+        pos = (cell + u) / n_cells
+        rho = montecarlo._RandomMaskDensity(n_cells)
+        got = rho.sample_batch(np.random.default_rng(seed), size)
+        assert np.array_equal(got, np.column_stack([pos, 1 - pos]))
+
+    @pytest.mark.parametrize("n_cells", [0, -1, montecarlo.MAX_UNIVERSAL_CELLS + 1, 40])
+    def test_rejects_cell_counts_outside_the_cap(self, n_cells):
+        with pytest.raises(ValueError, match="n_cells"):
+            montecarlo._RandomMaskDensity(n_cells)
+
+    def test_memory_does_not_grow_with_the_cell_count(self):
+        # one (size, n_cells) int64 temporary is 240 bytes a draw at 30 cells
+        peaks = {}
+        for n_cells in (2, montecarlo.MAX_UNIVERSAL_CELLS):
+            rho = montecarlo._RandomMaskDensity(n_cells)
+            tracemalloc.start()
+            try:
+                rho.sample_batch(np.random.default_rng(0), montecarlo.BLOCK_SIZE)
+                peaks[n_cells] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[montecarlo.MAX_UNIVERSAL_CELLS] <= 1.25 * peaks[2]
+        assert peaks[montecarlo.MAX_UNIVERSAL_CELLS] <= 96 * montecarlo.BLOCK_SIZE
 
 
 def test_standard_error():

@@ -87,3 +87,18 @@ def test_phases_default_to_zero_and_length_checked():
     assert psi.phases == pytest.approx([0.0, 0.0])
     with pytest.raises(ValueError):
         QuantumState([0.4, 0.6], [0.1])
+
+
+def test_phases_are_copied_not_frozen_in_place():
+    phases = np.array([0.1, 0.2])
+    psi = QuantumState([0.5, 0.5], phases)
+    assert phases.flags.writeable
+    assert not psi.phases.flags.writeable
+    phases[0] = 3.0
+    assert psi.phases.tolist() == [0.1, 0.2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_phases_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        QuantumState([0.5, 0.5], [0.0, bad])
