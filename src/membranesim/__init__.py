@@ -44,10 +44,8 @@ from .robustness import (
 )
 from .simplex import (
     BarycentricState,
-    OutsideSimplexError,
     RegionLabel,
     classify_batch,
-    from_internal_coords,
     hull_membership,
     region_of,
     simplex_measure,
@@ -83,7 +81,6 @@ __all__ = [
     "IntervalControl",
     "IntervalDensity",
     "NotAnalyticError",
-    "OutsideSimplexError",
     "QuantumState",
     "RecurrenceReport",
     "RegionLabel",
@@ -100,7 +97,6 @@ __all__ = [
     "dirac_limit_demo",
     "estimate",
     "estimate_universal",
-    "from_internal_coords",
     "hull_membership",
     "identity_report",
     "perturb_state",

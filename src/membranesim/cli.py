@@ -89,18 +89,6 @@ def _parse_points(text: str) -> list[BarycentricState]:
     return [_parse_state(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _parse_density(text: str, n_outcomes: int):
-    text = text.strip()
-    if text.startswith("{"):
-        return density_from_spec(json.loads(text), n_outcomes)
-    if ":" in text:
-        kind, arg = text.split(":", 1)
-        if kind == "cellular1d":
-            return density_from_spec({"type": "cellular1d", "mask": arg}, n_outcomes)
-        raise ValueError(f"unknown density shorthand {text!r}")
-    return density_from_spec(text, n_outcomes)
-
-
 def _default_threads() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env is None:
@@ -161,22 +149,21 @@ def _check_out(path: str) -> None:
 
 def _cmd_simulate(args):
     state = _parse_state(args.state)
-    density = _parse_density(args.density, state.n_outcomes)
+    text = args.density.strip()
+    spec = json.loads(text) if text.startswith("{") else text
+    density = density_from_spec(spec, state.n_outcomes)
     result = estimate(
         state, density, args.samples, args.seed, threads=args.threads
     )
     for line in result.summary_lines():
         print(line)
-    rows = result.to_csv_rows()
     payload = dict(
         state=[float(c) for c in state.coords],
         density=args.density,
-        n_samples=result.n_samples,
         seed=args.seed,
-        boundary_hits=result.boundary_hits,
-        outcomes=rows,
+        **result.to_json_dict(),
     )
-    return payload, rows
+    return payload, result.to_csv_rows()
 
 
 def _cmd_universal_exact(args):

@@ -53,6 +53,9 @@ MAX_REJECTION_ROUNDS = 10_000
 _CHUNK_POINTS = 2**16
 #: most m * ell cells of a cellular approximation; each cell is a Python bool
 MAX_APPROXIMATION_CELLS = 1 << 22
+#: most resolution ** (N - 1) cells of a grid density, each with a float64
+#: origin per axis and a weight
+MAX_GRID_CELLS = 1 << 22
 
 
 class NotAnalyticError(Exception):
@@ -253,11 +256,12 @@ class DiracMixtureDensity(Density):
             weights = list(weights)
             if len(weights) != len(points):
                 raise ValueError("one weight per support point")
-            if not all(math.isfinite(w) for w in weights):
-                raise ValueError("weights must be finite")
-            if any(w < 0 for w in weights) or sum(weights) == 0:
-                raise ValueError("weights must be non-negative, not all zero")
+            # a non-finite weight makes the sum non-finite, as does overflow
             total = sum(weights)
+            if not math.isfinite(total):
+                raise ValueError("weights and their sum must be finite")
+            if any(w < 0 for w in weights) or total == 0:
+                raise ValueError("weights must be non-negative, not all zero")
             weights = [w / total for w in weights]
         self.weights = tuple(weights)
         self._points_arr = np.array([p.coords for p in points])
@@ -281,10 +285,16 @@ class ControlRegion(abc.ABC):
 
     `epsilon` is the fraction of simplex measure left breakable; the
     control region itself has measure (1 - epsilon) * simplex_measure(N).
+    Every geometry checks N and epsilon here.
     """
 
-    n_outcomes: int
-    epsilon: float
+    def __init__(self, n_outcomes: int, epsilon):
+        if n_outcomes < 2:
+            raise ValueError("need at least two outcomes")
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError("epsilon must lie in (0, 1]")
+        self.n_outcomes = n_outcomes
+        self.epsilon = float(epsilon)
 
     @abc.abstractmethod
     def contains_batch(self, ys: np.ndarray) -> np.ndarray:
@@ -321,12 +331,7 @@ class CentroidNeighborhood(ControlRegion):
     """
 
     def __init__(self, n_outcomes: int, epsilon: float):
-        if n_outcomes < 2:
-            raise ValueError("need at least two outcomes")
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        self.n_outcomes = n_outcomes
-        self.epsilon = float(epsilon)
+        super().__init__(n_outcomes, epsilon)
         self._t = self.epsilon ** (1.0 / (n_outcomes - 1))
         self._threshold = (1.0 - self._t) / n_outcomes
 
@@ -368,10 +373,7 @@ class BallComplement(ControlRegion):
         n = centers[0].n_outcomes
         if any(c.n_outcomes != n for c in centers):
             raise ValueError("ball centres must share a dimension")
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        self.n_outcomes = n
-        self.epsilon = float(epsilon)
+        super().__init__(n, epsilon)
         self.centers = tuple(centers)
         d = n - 1
         ball_volume = self.epsilon / len(centers) * simplex_measure(n)
@@ -428,8 +430,7 @@ class IntervalControl(ControlRegion):
 
     def __init__(self, breakable):
         self._zone = IntervalDensity(breakable)
-        self.n_outcomes = 2
-        self.epsilon = float(self._zone.length)
+        super().__init__(2, self._zone.length)
 
     @classmethod
     def cut_left(cls, epsilon: float) -> "IntervalControl":
@@ -524,6 +525,11 @@ class CellularGridDensity(Density):
             raise ValueError("need at least two outcomes")
         if resolution < 1:
             raise ValueError("resolution must be positive")
+        if resolution ** (n_outcomes - 1) > MAX_GRID_CELLS:
+            raise ValueError(
+                f"resolution {resolution} gives {resolution ** (n_outcomes - 1)} "
+                f"grid cells, above the bound of {MAX_GRID_CELLS}"
+            )
         self.n_outcomes = n_outcomes
         self.resolution = resolution
         d = n_outcomes - 1
@@ -645,6 +651,31 @@ def cellular_approximation(target_cdf, m: int, ell: int) -> Cellular1DDensity:
     return Cellular1DDensity(CellularMask(tuple(bits)))
 
 
+#: per spec type, the keys it reads besides "type": (kind, expected, optional),
+#: where kind is a type, a tuple of types, or [kind] for a list of such values
+_DENSITY_KEYS = {
+    "uniform": {},
+    "cellular1d": {"mask": (str, "a string of 'b'/'u' cells", False)},
+    "dirac": {
+        "points": ([[numbers.Real]], "a list of points", False),
+        "weights": ([numbers.Real], "a list of numbers", True),
+    },
+    "grid": {
+        "resolution": (numbers.Integral, "an integer", False),
+        "mask": ([(bool, numbers.Integral)], "a list of flags", True),
+    },
+    "truncated-uniform": {
+        "epsilon": (numbers.Real, "a number", False),
+        "control": (dict, "a control region spec", False),
+    },
+}
+_CONTROL_KEYS = {
+    "centroid": {},
+    "balls": {"centers": ([[numbers.Real]], "a list of points", False)},
+    "intervals": {"breakable": ([[numbers.Real]], "[lo, hi] pairs", False)},
+}
+
+
 def density_from_spec(spec, n_outcomes: int | None = None) -> Density:
     """Build a density from the tagged dictionary used by config files.
 
@@ -658,78 +689,79 @@ def density_from_spec(spec, n_outcomes: int | None = None) -> Density:
 
     Control regions: {"type": "centroid"}, {"type": "balls",
     "centers": [[...], ...]}, {"type": "intervals",
-    "breakable": [[lo, hi], ...]}. The plain string "uniform" is accepted
-    as shorthand for the uniform variant.
+    "breakable": [[lo, hi], ...]}. A string "<type>" stands for
+    {"type": "<type>"} and "<type>:<mask>" for {"type": "<type>",
+    "mask": "<mask>"}, so "uniform" and "cellular1d:bub" are specs too.
+    A key the type does not read or a missing required key is an error.
     """
     if isinstance(spec, str):
-        spec = {"type": spec}
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("density spec must be a dict with a 'type' tag")
-    kind = spec["type"]
+        kind, colon, mask = spec.partition(":")
+        spec = {"type": kind, "mask": mask} if colon else {"type": kind}
+    kind, values = _read_spec(spec, "density", _DENSITY_KEYS)
     if n_outcomes is None and kind in ("uniform", "grid", "truncated-uniform"):
         raise ValueError(f"{kind} density needs the number of outcomes")
     if kind == "uniform":
         return UniformDensity(n_outcomes)
     if kind == "cellular1d":
-        mask = _spec_value(spec, "mask", str, "a string of 'b'/'u' cells")
-        return Cellular1DDensity(CellularMask.from_string(mask))
+        return Cellular1DDensity(CellularMask.from_string(values["mask"]))
     if kind == "dirac":
-        points = _spec_value(spec, "points", [[numbers.Real]], "a list of points")
-        weights = _spec_value(
-            spec, "weights", [numbers.Real], "a list of numbers", optional=True
-        )
-        return DiracMixtureDensity([BarycentricState(p) for p in points], weights)
+        points = [BarycentricState(p) for p in values["points"]]
+        return DiracMixtureDensity(points, values["weights"])
     if kind == "grid":
-        resolution = _spec_value(spec, "resolution", numbers.Integral, "an integer")
-        mask = _spec_value(
-            spec, "mask", [(bool, numbers.Integral)], "a list of flags", optional=True
-        )
-        return CellularGridDensity(n_outcomes, resolution, mask)
-    if kind == "truncated-uniform":
-        epsilon = float(_spec_value(spec, "epsilon", numbers.Real, "a number"))
-        control = control_from_spec(spec["control"], n_outcomes, epsilon)
-        return truncate(UniformDensity(n_outcomes), control)
-    raise ValueError(f"unknown density type {kind!r}")
+        return CellularGridDensity(n_outcomes, values["resolution"], values["mask"])
+    epsilon = float(values["epsilon"])
+    control = control_from_spec(values["control"], n_outcomes, epsilon)
+    return truncate(UniformDensity(n_outcomes), control)
 
 
 def control_from_spec(spec, n_outcomes: int, epsilon: float) -> ControlRegion:
     """Build a control region from its tagged dictionary. An interval
     region must have total breakable length `epsilon` within SUM_TOL."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("control spec must be a dict with a 'type' tag")
-    kind = spec["type"]
+    kind, values = _read_spec(spec, "control region", _CONTROL_KEYS)
     if kind == "centroid":
         return CentroidNeighborhood(n_outcomes, epsilon)
     if kind == "balls":
-        centers = _spec_value(spec, "centers", [[numbers.Real]], "a list of points")
-        return BallComplement([BarycentricState(c) for c in centers], epsilon)
-    if kind == "intervals":
-        pairs = _spec_value(spec, "breakable", [[numbers.Real]], "[lo, hi] pairs")
-        control = IntervalControl(pairs)
-        if abs(control.epsilon - epsilon) > SUM_TOL:
+        return BallComplement([BarycentricState(c) for c in values["centers"]], epsilon)
+    control = IntervalControl(values["breakable"])
+    if abs(control.epsilon - epsilon) > SUM_TOL:
+        raise ValueError(
+            f"epsilon {epsilon!r} disagrees with the breakable length "
+            f"{control.epsilon!r} of the intervals"
+        )
+    return control
+
+
+def _read_spec(spec, what: str, types: dict) -> tuple[str, dict]:
+    """The type of a tagged `spec` and the values of the keys `types` says
+    it reads. A key the type does not read, a missing key and a value of
+    the wrong kind are errors, where JSON true/false matches only bool; an
+    optional key may be absent or null and then gives None."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if not isinstance(kind, str):
+        raise ValueError(f"{what} spec must be a dict with a 'type' tag")
+    if kind not in types:
+        raise ValueError(f"unknown {what} type {kind!r}")
+    keys = types[kind]
+    for key in spec:
+        if key != "type" and key not in keys:
+            raise ValueError(f"{what} spec key {key!r} is not read by type {kind!r}")
+    values = {}
+    for key, (value_kind, expected, optional) in keys.items():
+        if key not in spec and not optional:
+            raise ValueError(f"{what} spec key {key!r} is missing")
+        value = values[key] = spec.get(key)
+        if not ((optional and value is None) or _matches(value, value_kind)):
             raise ValueError(
-                f"epsilon {epsilon!r} disagrees with the breakable length "
-                f"{control.epsilon!r} of the intervals"
+                f"{what} spec key {key!r} must be {expected}, got {value!r}"
             )
-        return control
-    raise ValueError(f"unknown control region type {kind!r}")
+    return kind, values
 
 
-def _spec_value(spec: dict, key: str, kind, expected: str, optional=False):
-    """`spec[key]` checked against `kind`: a type or tuple of types, or
-    [kind] for a list of such values, where JSON true/false matches only
-    bool. An optional key may be absent or null and then gives None."""
-
-    def matches(value, kind) -> bool:
-        if isinstance(kind, list):
-            return isinstance(value, (list, tuple)) and all(
-                matches(v, kind[0]) for v in value
-            )
-        if isinstance(value, bool):
-            return bool in (kind if isinstance(kind, tuple) else (kind,))
-        return isinstance(value, kind)
-
-    value = spec.get(key) if optional else spec[key]
-    if not ((optional and value is None) or matches(value, kind)):
-        raise ValueError(f"spec key {key!r} must be {expected}, got {value!r}")
-    return value
+def _matches(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(
+            _matches(v, kind[0]) for v in value
+        )
+    if isinstance(value, bool):
+        return bool in (kind if isinstance(kind, tuple) else (kind,))
+    return isinstance(value, kind)

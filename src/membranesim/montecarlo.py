@@ -51,9 +51,10 @@ def substream(seed, block: int) -> np.random.Generator:
     return np.random.default_rng(base)
 
 
-def wilson_interval(count, n_samples: int, z: float = WILSON_Z):
-    """Wilson score interval for a binomial proportion; vectorises over
-    `count`."""
+def wilson_interval(count, n_samples: int):
+    """Wilson score interval at WILSON_Z for a binomial proportion;
+    vectorises over `count`."""
+    z = WILSON_Z
     count = np.asarray(count, dtype=float)
     p_hat = count / n_samples
     denom = 1.0 + z * z / n_samples

@@ -41,10 +41,6 @@ SUM_TOL = 1e-12
 TIE_RTOL = 1e-12
 
 
-class OutsideSimplexError(ValueError):
-    """Point does not lie on the simplex."""
-
-
 def _as_exact(values) -> tuple[Fraction, ...] | None:
     out = []
     for v in values:
@@ -262,26 +258,9 @@ def to_internal_coords(p: BarycentricState) -> np.ndarray:
     return basis[:-1] @ p.coords
 
 
-def from_internal_coords(z, n: int) -> BarycentricState:
-    """Inverse of `to_internal_coords` for an N-outcome simplex.
-
-    Raises OutsideSimplexError when the reconstructed weights dip below
-    zero by more than SUM_TOL; smaller excursions are clipped.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (n - 1,):
-        raise ValueError(f"expected {n - 1} internal coordinates, got {z.shape}")
-    basis = internal_basis(n)
-    y = basis.T @ np.concatenate([z, [1.0 / math.sqrt(n)]])
-    if y.min() < -SUM_TOL:
-        raise OutsideSimplexError(
-            f"point lies outside the simplex (weight {y.min():.3e})"
-        )
-    return BarycentricState(np.clip(y, 0.0, None))
-
-
 def from_internal_batch(zs: np.ndarray, n: int) -> np.ndarray:
-    """Map a (size, N-1) batch of internal coordinates to barycentric ones.
+    """Inverse of `to_internal_coords`: map a (size, N-1) batch of internal
+    coordinates to barycentric ones.
 
     No simplex-membership check is performed; callers that may produce
     outside points must validate or reject themselves.

@@ -178,17 +178,56 @@ class TestSimulate:
                 },
                 "breakable",
             ),
+            (
+                "0.5,0.5",
+                {
+                    "type": "dirac",
+                    "points": [[0.6, 0.4], [0.2, 0.8]],
+                    "weigths": [9, 1],
+                },
+                "weigths",
+            ),
+            (
+                "0.2,0.3,0.5",
+                {"type": "grid", "resolution": 4, "maks": [1] * 16},
+                "maks",
+            ),
+            ("0.5,0.5", {"type": "truncated-uniform", "epsilon": 0.5}, "control"),
+            (
+                "0.5,0.5",
+                {
+                    "type": "truncated-uniform",
+                    "epsilon": 0.5,
+                    "control": {"type": "centroid", "radius": 0.1},
+                },
+                "radius",
+            ),
         ],
     )
     def test_malformed_density_spec_is_a_validation_error(
-        self, capsys, state, spec, key
+        self, monkeypatch, capsys, state, spec, key
     ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sampling ran before the spec was checked")
+
+        monkeypatch.setattr(cli, "estimate", must_not_run)
         code = run_cli(
             ["simulate", "--state", state, "--density", json.dumps(spec)]
             + ["--seed", "1", "--samples", "10"]
         )
         assert code == 2
         assert repr(key) in capsys.readouterr().err
+
+    def test_grid_above_the_cell_bound_is_a_validation_error(self, capsys):
+        spec = {"type": "grid", "resolution": 100_000}
+        code = run_cli(
+            ["simulate", "--state", "0.2,0.3,0.5", "--density", json.dumps(spec)]
+            + ["--seed", "1", "--samples", "10"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid cells, above the bound" in captured.err
 
     def test_interval_epsilon_must_match_the_intervals(self, capsys):
         spec = {

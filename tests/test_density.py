@@ -147,6 +147,12 @@ class TestDiracMixture:
         with pytest.raises(ValueError, match="finite"):
             DiracMixtureDensity(pts, weights=[bad, 1])
 
+    def test_overflowing_weight_sum_is_rejected(self):
+        # each weight is finite, their float sum is not
+        pts = [BarycentricState([0.5, 0.5]), BarycentricState([1, 0])]
+        with pytest.raises(ValueError, match="sum must be finite"):
+            DiracMixtureDensity(pts, weights=[1e308, 1e308])
+
 
 SAMPLER_CASES = [
     lambda: (UniformDensity(3), 3),
@@ -272,6 +278,29 @@ class TestControlRegions:
         frac = 1.0 - ctrl.contains_batch(draws).mean()
         assert frac == pytest.approx(0.15, abs=4 * math.sqrt(0.15 * 0.85 / 200_000))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CentroidNeighborhood(1, 0.5), "two outcomes"),
+            (lambda: CentroidNeighborhood(3, 0.0), "epsilon"),
+            (lambda: CentroidNeighborhood(3, 1.5), "epsilon"),
+            (lambda: BallComplement([BarycentricState([0.5, 0.5])], 0.0), "epsilon"),
+            (lambda: BallComplement([BarycentricState([0.5, 0.5])], 2.0), "epsilon"),
+            # the dimension is checked first, as in the base class
+            (lambda: CentroidNeighborhood(1, 2.0), "two outcomes"),
+        ],
+    )
+    def test_outcomes_and_epsilon_are_checked_for_every_geometry(
+        self, build, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_interval_epsilon_is_its_exact_length_rounded_once(self):
+        ctrl = IntervalControl([(Fraction(1, 10), Fraction(1, 5)), (0.5, 0.7)])
+        assert ctrl.epsilon == float(Fraction(1, 10) + Fraction(0.7) - Fraction(0.5))
+        assert ctrl.n_outcomes == 2
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             IntervalControl([(0.2, 0.1)])
@@ -354,6 +383,25 @@ class TestCellularApproximation:
 
 
 class TestCellularGrid:
+    def test_cell_bound_fires_before_any_array_is_built(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} ran before the cell bound")
+
+        monkeypatch.setattr(density_module, "np", NoNumpy())
+        with pytest.raises(ValueError, match=str(density_module.MAX_GRID_CELLS)):
+            CellularGridDensity(3, 100_000)
+        with pytest.raises(ValueError, match="grid cells"):
+            CellularGridDensity(24, 2)
+
+    def test_cell_bound_admits_exactly_max_grid_cells(self, monkeypatch):
+        monkeypatch.setattr(density_module, "MAX_GRID_CELLS", 16)
+        assert CellularGridDensity(3, 4).mask.size == 16
+        assert CellularGridDensity(5, 2).mask.size == 16
+        for n, r in ((3, 5), (4, 3), (6, 2)):
+            with pytest.raises(ValueError, match="above the bound of 16"):
+                CellularGridDensity(n, r)
+
     def test_outside_cells_carry_no_weight(self):
         grid = CellularGridDensity(3, 8)
         weights = grid._weights.reshape(8, 8)
@@ -531,6 +579,59 @@ class TestDensitySpec:
             density_from_spec({"mask": "bb"}, 2)
         with pytest.raises(ValueError):
             density_from_spec("uniform")
+
+    def test_cellular_text(self):
+        rho = density_from_spec("cellular1d:bub")
+        assert isinstance(rho, Cellular1DDensity)
+        assert str(rho.mask) == "bub"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("nope:bub", "unknown density type 'nope'"),
+            ("uniform:bub", "key 'mask' is not read by type 'uniform'"),
+            ({"type": 5}, "'type' tag"),
+            ({"type": ["grid"]}, "'type' tag"),
+            ({"type": "uniform", "resolution": 4}, "key 'resolution' is not read"),
+            ({"type": "grid"}, "key 'resolution' is missing"),
+            ({"type": "grid", "resolution": 4, "mask": None, "x": 1}, "key 'x'"),
+            (
+                {"type": "truncated-uniform", "epsilon": 0.5, "contorl": {}},
+                "key 'contorl' is not read",
+            ),
+            (
+                {"type": "truncated-uniform", "epsilon": 0.5},
+                "key 'control' is missing",
+            ),
+            (
+                {
+                    "type": "truncated-uniform",
+                    "epsilon": 0.5,
+                    "control": {"type": "centroid", "epsilon": 0.5},
+                },
+                "control region spec key 'epsilon' is not read by type 'centroid'",
+            ),
+            (
+                {
+                    "type": "truncated-uniform",
+                    "epsilon": 0.5,
+                    "control": {"type": "balls"},
+                },
+                "control region spec key 'centers' is missing",
+            ),
+            (
+                {"type": "truncated-uniform", "epsilon": 0.5, "control": {}},
+                "control region spec must be a dict with a 'type' tag",
+            ),
+        ],
+    )
+    def test_keys_are_checked(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            density_from_spec(spec, 3)
+
+    def test_null_optional_keys_read_as_absent(self):
+        spec = {"type": "dirac", "points": [[0.5, 0.5]], "weights": None}
+        assert density_from_spec(spec).weights == (1,)
 
 
 def cell_oracle(bits, x1: Fraction) -> Fraction:
