@@ -256,9 +256,14 @@ class DiracMixtureDensity(Density):
             weights = list(weights)
             if len(weights) != len(points):
                 raise ValueError("one weight per support point")
-            # a non-finite weight makes the sum non-finite, as does overflow
-            total = sum(weights)
-            if not math.isfinite(total):
+            # a non-finite weight makes the sum non-finite, as does overflow;
+            # an int too large for a float raises OverflowError instead
+            try:
+                total = sum(weights)
+                finite = math.isfinite(total)
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise ValueError("weights and their sum must be finite")
             if any(w < 0 for w in weights) or total == 0:
                 raise ValueError("weights must be non-negative, not all zero")

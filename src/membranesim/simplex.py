@@ -62,13 +62,16 @@ class BarycentricState:
     __slots__ = ("coords", "exact_coords")
 
     def __init__(self, coords):
-        if isinstance(coords, np.ndarray):
-            exact = None
-            arr = np.array(coords, dtype=float)
-        else:
-            coords = tuple(coords)
-            exact = _as_exact(coords)
-            arr = np.array([float(c) for c in coords], dtype=float)
+        try:
+            if isinstance(coords, np.ndarray):
+                exact = None
+                arr = np.array(coords, dtype=float)
+            else:
+                coords = tuple(coords)
+                exact = _as_exact(coords)
+                arr = np.array([float(c) for c in coords], dtype=float)
+        except OverflowError:  # an int or Fraction too large for a float
+            raise ValueError("barycentric weights must be finite") from None
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a state needs at least two outcome weights")
         if not np.all(np.isfinite(arr)):

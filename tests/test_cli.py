@@ -218,6 +218,24 @@ class TestSimulate:
         assert code == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "dirac", "points": [[0.5, 0.5]], "weights": [10**400]},
+            {"type": "dirac", "points": [[10**400, 0.5]]},
+        ],
+        ids=["weights", "points"],
+    )
+    def test_an_integer_too_large_for_a_float_is_a_validation_error(
+        self, capsys, spec
+    ):
+        code = run_cli(
+            ["simulate", "--state", "0.5,0.5", "--density", json.dumps(spec)]
+            + ["--seed", "1", "--samples", "10"]
+        )
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_grid_above_the_cell_bound_is_a_validation_error(self, capsys):
         spec = {"type": "grid", "resolution": 100_000}
         code = run_cli(

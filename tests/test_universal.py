@@ -83,6 +83,18 @@ def closed_form_split_counts(n, i):
     return counts
 
 
+def closed_form_field_counts(n, low, width):
+    """Independent oracle for _mask_counts(n, (), bit=low, width=width):
+    a mask whose field holds v has popcount(v) breakable cells there and
+    k - popcount(v) among the other n - width cells."""
+    counts = np.zeros((n + 1, 1 << width), dtype=np.int64)
+    for k in range(n + 1):
+        for v in range(1 << width):
+            counts[k, v] = _comb(n - width, k - v.bit_count())
+    counts[0, 0] -= 1
+    return counts
+
+
 def config(mask_text, i):
     return ElasticConfiguration1D(CellularMask.from_string(mask_text), i)
 
@@ -311,6 +323,28 @@ class TestMaskCounts:
             closed_form_split_counts(n, i),
         )
 
+    @pytest.mark.parametrize(
+        "n, low, width",
+        [(17, 0, 8), (17, 8, 8), (17, 16, 1), (21, 8, 8), (21, 16, 5), (24, 16, 8)],
+    )
+    def test_a_field(self, n, low, width):
+        np.testing.assert_array_equal(
+            universal._mask_counts(n, (), bit=low, width=width),
+            closed_form_field_counts(n, low, width),
+        )
+
+    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        whole = (
+            theorem_report(12),
+            universal._mask_counts(17, (5,)),
+            recurrence_step_check(13, 4),
+        )
+        # 300 masks a chunk: chunk edges fall inside every 8-bit field
+        monkeypatch.setattr(universal, "_CHUNK", 300)
+        assert theorem_report(12) == whole[0]
+        np.testing.assert_array_equal(universal._mask_counts(17, (5,)), whole[1])
+        assert recurrence_step_check(13, 4) == whole[2]
+
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
 _NEAR_2_62 = st.integers(2**62 - 2**20, 2**62 + 2**20)
@@ -346,6 +380,26 @@ class TestReports:
             "uniform": "1/2",
             "equal": True,
         }
+
+    def test_theorem_report_equals_the_per_position_average(self):
+        # the per-cell table and the popcount path reduce one enumeration two ways
+        for row in theorem_report(20)["rows"]:
+            n, i = row["n_cells"], row["position"]
+            assert row["average"] == str(universal_average_1d(n, i))
+            if n <= 8:
+                assert row["average"] == str(brute_average(n, i))
+
+    def test_theorem_report_runs_the_kernel_once_per_field(self, monkeypatch):
+        real_counts = universal._mask_counts
+        calls = []
+
+        def counted(n, *args, **kwargs):
+            calls.append(n)
+            return real_counts(n, *args, **kwargs)
+
+        monkeypatch.setattr(universal, "_mask_counts", counted)
+        theorem_report(10)
+        assert calls == [*range(2, 9), 9, 9, 10, 10]
 
     @pytest.mark.parametrize("max_cells", [-1, 0, 1, 25, 26])
     def test_theorem_report_rejects_sizes_before_enumerating(
