@@ -459,7 +459,7 @@ def main(argv=None) -> int:
             body, rows = _COMMANDS[args.command]["run"](args)
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
         _write_output(payload, rows, args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 3

@@ -119,23 +119,23 @@ class Density(abc.ABC):
         """Draw `size` breaking points, returned as a (size, N) array of
         barycentric coordinates. Deterministic given the generator state."""
 
-    def region_probability(self, x: BarycentricState, outcome: int):
-        """Integral of the density over collapse region `outcome` of state
-        `x`; Fraction on the exact code paths, float otherwise."""
+    def region_probabilities(self, x: BarycentricState) -> list:
+        """Integrals of the density over every collapse region of state
+        `x`, outcome 1 first, in one pass; Fractions on the exact code
+        paths, floats otherwise."""
         raise NotAnalyticError(
             f"{type(self).__name__} has no analytic region integral"
         )
 
-    def region_probabilities(self, x: BarycentricState) -> list:
-        return [
-            self.region_probability(x, i) for i in range(1, self.n_outcomes + 1)
-        ]
-
-    def _check_state(self, x: BarycentricState, outcome: int) -> None:
-        if x.n_outcomes != self.n_outcomes:
-            raise ValueError("state dimension does not match the density")
+    def region_probability(self, x: BarycentricState, outcome: int):
+        """Integral of the density over collapse region `outcome` of `x`."""
         if not 1 <= outcome <= self.n_outcomes:
             raise ValueError(f"outcome must be in 1..{self.n_outcomes}")
+        return self.region_probabilities(x)[outcome - 1]
+
+    def _check_state(self, x: BarycentricState) -> None:
+        if x.n_outcomes != self.n_outcomes:
+            raise ValueError("state dimension does not match the density")
 
 
 class UniformDensity(Density):
@@ -156,11 +156,11 @@ class UniformDensity(Density):
     def sample_batch(self, rng, size):
         return rng.dirichlet(np.ones(self.n_outcomes), size=size)
 
-    def region_probability(self, x, outcome):
-        self._check_state(x, outcome)
+    def region_probabilities(self, x):
+        self._check_state(x)
         if x.exact_coords is not None:
-            return x.exact_coords[outcome - 1]
-        return float(x.coords[outcome - 1])
+            return list(x.exact_coords)
+        return [float(c) for c in x.coords]
 
 
 class IntervalDensity(Density):
@@ -198,14 +198,13 @@ class IntervalDensity(Density):
         x1 = self._los[idx] + rng.random(size) * self._lengths[idx]
         return np.column_stack([x1, 1.0 - x1])
 
-    def region_probability(self, x, outcome):
-        self._check_state(x, outcome)
+    def region_probabilities(self, x):
+        self._check_state(x)
         exact = x.exact_coords is not None
         x1 = x.exact_coords[0] if exact else Fraction(float(x.coords[0]))
         below = sum(max(0, min(hi, x1) - lo) for lo, hi in self.intervals)
-        p_region_1 = below / self.length
-        p = p_region_1 if outcome == 1 else 1 - p_region_1
-        return p if exact else float(p)
+        p1 = below / self.length
+        return [p1, 1 - p1] if exact else [float(p1), float(1 - p1)]
 
 
 class Cellular1DDensity(IntervalDensity):
@@ -276,13 +275,12 @@ class DiracMixtureDensity(Density):
         idx = rng.choice(len(self.points), size=size, p=self._weights_arr)
         return self._points_arr[idx]
 
-    def region_probability(self, x, outcome):
-        self._check_state(x, outcome)
-        total = 0
+    def region_probabilities(self, x):
+        self._check_state(x)
+        totals = [0] * self.n_outcomes
         for point, w in zip(self.points, self.weights):
-            if region_of(point, x).outcome == outcome:
-                total += w
-        return total
+            totals[region_of(point, x).outcome - 1] += w
+        return totals
 
 
 class ControlRegion(abc.ABC):
@@ -473,10 +471,10 @@ class TruncatedUniformDensity(Density):
     def sample_batch(self, rng, size):
         return self.control.sample_breakable_batch(rng, size)
 
-    def region_probability(self, x, outcome):
-        self._check_state(x, outcome)
+    def region_probabilities(self, x):
+        self._check_state(x)
         zone = IntervalDensity(self.control.breakable_intervals())
-        return zone.region_probability(x, outcome)
+        return zone.region_probabilities(x)
 
 
 def truncate(rho: Density, control: ControlRegion) -> Density:
@@ -602,14 +600,14 @@ class CellularGridDensity(Density):
                 return out
         raise RuntimeError("grid cell rejection sampling failed")
 
-    def region_probability(self, x, outcome):
-        self._check_state(x, outcome)
-        hits = inside = 0
+    def region_probabilities(self, x):
+        self._check_state(x)
+        hits = np.zeros(self.n_outcomes, dtype=np.int64)
         for _, ys in self._cell_chunks(self._lattice, self._cells):
             ys = ys[ys.min(axis=2) >= 0.0]
-            inside += len(ys)
-            hits += int((classify_batch(ys, x)[0] == outcome - 1).sum())
-        return hits / inside
+            hits += np.bincount(classify_batch(ys, x)[0], minlength=self.n_outcomes)
+        inside = int(hits.sum())
+        return [int(h) / inside for h in hits]
 
 
 def _unit_lattice(axis, d: int) -> np.ndarray:

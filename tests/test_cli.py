@@ -260,6 +260,37 @@ class TestSimulate:
         assert code == 2
         assert "disagrees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "state, text, message",
+        [
+            ("0.5,0.5", '{"type": "dirac",', "Expecting property name"),
+            ("0.5,0.5", "[1, 2]", "unknown density type"),
+            ("0.5,0.5", '{"type": "nope"}', "unknown density type"),
+            ("0.2,0.3,0.5", '{"type": "grid"}', "'resolution' is missing"),
+        ],
+        ids=["broken-json", "list", "unknown-type", "grid-without-resolution"],
+    )
+    def test_unreadable_density_text_is_a_validation_error(
+        self, capsys, state, text, message
+    ):
+        code = run_cli(
+            ["simulate", "--state", state, "--density", text]
+            + ["--seed", "1", "--samples", "10"]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_a_key_error_inside_a_validated_run_is_a_runtime_failure(
+    monkeypatch, capsys
+):
+    def lookup_fails(args):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(cli._COMMANDS["identities"], "run", lookup_fails)
+    assert run_cli(["identities", "--n-max", "3"]) == 3
+    assert "runtime error" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "args, config",

@@ -33,6 +33,7 @@ from membranesim.simplex import (
     classify_batch,
     from_internal_batch,
     internal_basis,
+    region_of,
 )
 
 
@@ -709,6 +710,108 @@ class TestIntervalIntegralOracle:
         p1 = (min(max(exact_x1(x), lo), hi) - lo) / (hi - lo)
         rho = TruncatedUniformDensity(control)
         assert rho.region_probabilities(x) == expected_pair(x, p1)
+
+
+#: the families whose region integrals are exact on exact states
+EXACT_FAMILIES = (UniformDensity, IntervalDensity, TruncatedUniformDensity)
+
+
+def analytic_families():
+    """One density of every family with region integrals, and exact and
+    float states of its dimension."""
+    pair = [BarycentricState([Fraction(3, 10), Fraction(7, 10)])]
+    pair.append(BarycentricState([0.3, 0.7]))
+    triple = [BarycentricState([Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)])]
+    triple.append(BarycentricState([0.2, 0.3, 0.5]))
+    dirac = DiracMixtureDensity(
+        [BarycentricState(p) for p in ([0.5, 0.3, 0.2], [0.6, 0.1, 0.3])],
+        [Fraction(1, 4), Fraction(3, 4)],
+    )
+    return [
+        (UniformDensity(3), triple),
+        (IntervalDensity([(0.1, 0.2), (Fraction(1, 2), 1)]), pair),
+        (Cellular1DDensity(CellularMask.from_string("bubbu")), pair),
+        (dirac, triple),
+        (TruncatedUniformDensity(CentroidNeighborhood(2, 0.5)), pair),
+        (CellularGridDensity(3, 6), triple),
+    ]
+
+
+class TestRegionIntegrals:
+    @pytest.mark.parametrize(
+        "rho, states", analytic_families(), ids=lambda v: type(v).__name__
+    )
+    def test_one_outcome_is_an_entry_of_every_outcome(self, rho, states):
+        for x in states:
+            probs = rho.region_probabilities(x)
+            assert len(probs) == rho.n_outcomes
+            for i in range(1, rho.n_outcomes + 1):
+                p = rho.region_probability(x, i)
+                assert p == probs[i - 1] and type(p) is type(probs[i - 1])
+
+    @pytest.mark.parametrize(
+        "rho, states",
+        [
+            (rho, states)
+            for rho, states in analytic_families()
+            if isinstance(rho, EXACT_FAMILIES)
+        ],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_exact_states_get_fractions_and_float_states_floats(self, rho, states):
+        exact, inexact = states
+        assert all(type(p) is Fraction for p in rho.region_probabilities(exact))
+        assert all(type(p) is float for p in rho.region_probabilities(inexact))
+
+    def test_an_empty_dirac_region_is_the_integer_zero(self):
+        rho = DiracMixtureDensity([BarycentricState([0.5, 0.3, 0.2])])
+        x = BarycentricState([0.2, 0.3, 0.5])
+        probs = rho.region_probabilities(x)
+        assert probs == [0, 0, 1]
+        assert type(probs[0]) is int and type(probs[1]) is int
+        assert type(rho.region_probability(x, 2)) is int
+
+    def test_dirac_classifies_each_support_point_once(self, monkeypatch):
+        calls = []
+
+        def counted(lam, x):
+            calls.append(lam)
+            return region_of(lam, x)
+
+        points = [BarycentricState(p) for p in ([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])]
+        points.append(BarycentricState([0.3, 0.2, 0.5]))
+        rho = DiracMixtureDensity(points)
+        monkeypatch.setattr(density_module, "region_of", counted)
+        rho.region_probabilities(BarycentricState([0.2, 0.3, 0.5]))
+        assert calls == points
+
+    def test_grid_classifies_each_lattice_chunk_once(self, monkeypatch):
+        monkeypatch.setattr(density_module, "_CHUNK_POINTS", 300)
+        grid = CellularGridDensity(3, 10)
+        chunks = len(list(grid._cell_chunks(grid._lattice, grid._cells)))
+        assert chunks > 1
+        calls = []
+
+        def counted(ys, x):
+            calls.append(len(ys))
+            return classify_batch(ys, x)
+
+        monkeypatch.setattr(density_module, "classify_batch", counted)
+        grid.region_probabilities(BarycentricState([0.25, 0.35, 0.4]))
+        assert len(calls) == chunks
+
+    @pytest.mark.parametrize("outcome", [0, 4])
+    def test_an_outcome_out_of_range_fails_before_any_lattice_work(
+        self, monkeypatch, outcome
+    ):
+        grid = CellularGridDensity(3, 4)
+
+        def must_not_run(*args):
+            raise AssertionError("the lattice was walked")
+
+        monkeypatch.setattr(CellularGridDensity, "_cell_chunks", must_not_run)
+        with pytest.raises(ValueError, match="outcome must be in 1..3"):
+            grid.region_probability(BarycentricState([0.2, 0.3, 0.5]), outcome)
 
 
 SPEC_CASES = [

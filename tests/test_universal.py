@@ -236,6 +236,11 @@ class TestBinomialIdentities:
         binomial_identity_b(n)
 
 
+def test_binomial_row_is_the_row_of_pascals_triangle():
+    for n in range(201):
+        assert universal._binomial_row(n) == [comb(n, k) for k in range(n + 1)]
+
+
 class TestRecurrenceStep:
     def test_four_cells(self):
         report = recurrence_step_check(4, 1)
