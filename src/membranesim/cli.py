@@ -168,6 +168,11 @@ def _cmd_simulate(args):
 
 def _cmd_universal_exact(args):
     if args.table:
+        # the table is the left-end average at every position
+        if args.position is not None:
+            raise ValueError("--position cannot be combined with --table")
+        if args.target != "left":
+            raise ValueError("--target right cannot be combined with --table")
         report = theorem_report(args.cells)
         rows = report["rows"]
         equal = all(r["equal"] for r in rows)

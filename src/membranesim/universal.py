@@ -19,13 +19,17 @@ i cells outside a target region before the n_c - i cells inside it on a
 line, and the probability that a breakable cell inside the region
 breaks is again k_i / k.
 
-Every enumerated result follows one contract. A single kernel visits
-each nonzero mask once and returns integer counts of masks by k and by
-the popcounts (`np.bitwise_count`) of the requested shifts. Integer dot
-products turn the counts into per-k integer sums S_k. Each exact sum,
-over S_k / k here and over the binomial terms of the identities, is one
-integer numerator over one denominator, lcm(1..K), made into a single
-Fraction at the end. No float enters the enumeration or the reduction.
+Every enumerated result follows one contract. A single kernel counts
+every nonzero mask by k and by the popcounts (`np.bitwise_count`) of
+the requested shifts. Those statistics add over disjoint bits, so the
+kernel splits each mask into its low 16 bits and a high prefix: one
+bincount over the 2**16 low masks gives a table, and each of the
+2**(n - 16) prefixes adds that table at its own index as an offset.
+No binomial enters the counts. Integer dot products turn them into
+per-k integer sums S_k. Each exact sum, over S_k / k here and over the
+binomial terms of the identities, is one integer numerator over one
+denominator, lcm(1..K), made into a single Fraction at the end. No
+float enters the enumeration or the reduction.
 
 The kernel can also count masks by a field of `width` bits starting at
 `bit`. The theorem table uses that to serve every position of an n-cell
@@ -47,14 +51,14 @@ import numpy as np
 from .density import CellularMask
 
 #: guard on full-mask enumeration; one kernel pass over 2**24 masks takes
-#: about 0.1 s, theorem_report(24) about 0.6 s (2 vCPU, numpy 2.4.6)
+#: about 1.5 ms, theorem_report(24) about 0.04 s (2 vCPU, numpy 2.4.6)
 MAX_ENUMERABLE_CELLS = 24
 #: largest n_max of the identity table; identity_report(600) takes about
 #: 0.45 s, the CLI run about 0.8 s (2 vCPU, Python 3.11)
 MAX_IDENTITY_N = 600
-#: masks visited per chunk during enumeration; 2**16 keeps each int64
-#: temporary at 512 KB, inside a core's L2 cache
-_CHUNK = 1 << 16
+#: mask bits counted once into the kernel's low table; 2**16 masks keep
+#: each int64 temporary at 512 KB, inside a core's L2 cache
+_LOW_BITS = 16
 #: mask bits per kernel pass of the theorem table's per-cell counts
 _FIELD_BITS = 8
 
@@ -107,8 +111,10 @@ def _mask_counts(
     Entry [k, r_1, ..., r_m] counts the masks with k breakable cells and
     popcount(mask >> shifts[j]) == r_j. With `bit` given, a last axis of
     length 2**width holds the field (mask >> bit) & (2**width - 1),
-    extracted on its own. Each mask is visited once, in chunks, and
-    tallied by one unweighted bincount over the combined index.
+    extracted on its own. Every statistic is additive over disjoint
+    bits, so the flat index of mask = high + low, with low below bit
+    _LOW_BITS, is index(high) + index(low). One bincount over the low
+    masks gives a table; each high prefix adds it at offset index(high).
     """
     if n > MAX_ENUMERABLE_CELLS:
         raise ValueError(
@@ -121,10 +127,8 @@ def _mask_counts(
         *(n - s + 1 for s in shifts),
         *((field + 1,) if bit is not None else ()),
     )
-    size = prod(dims)
-    counts = np.zeros(size, dtype=np.int64)
-    for start in range(1, 1 << n, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
+
+    def flat_index(masks: np.ndarray) -> np.ndarray:
         index = np.bitwise_count(masks).astype(np.intp)
         for s, d in zip(shifts, dims[1:]):
             index *= d
@@ -132,7 +136,15 @@ def _mask_counts(
         if bit is not None:
             index <<= width
             index += (masks >> bit) & field
-        counts += np.bincount(index, minlength=size)
+        return index
+
+    low_bits = min(n, _LOW_BITS)
+    table = np.bincount(flat_index(np.arange(1 << low_bits, dtype=np.int64)))
+    highs = np.arange(1 << (n - low_bits), dtype=np.int64) << low_bits
+    counts = np.zeros(prod(dims), dtype=np.int64)
+    for offset in flat_index(highs).tolist():
+        counts[offset : offset + table.size] += table
+    counts[0] -= 1  # the zero mask
     return counts.reshape(dims)
 
 

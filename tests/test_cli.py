@@ -407,6 +407,22 @@ class TestUniversalExact:
     def test_position_required_without_table(self, capsys):
         assert run_cli(["universal-exact", "--cells", "6"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra, option",
+        [(["--position", "1"], "--position"), (["--target", "right"], "--target")],
+    )
+    def test_table_rejects_an_option_it_does_not_read(
+        self, extra, option, capsys, monkeypatch
+    ):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated before validating the options")
+
+        monkeypatch.setattr(universal, "_mask_counts", no_enumeration)
+        assert run_cli(["universal-exact", "--cells", "3", "--table", *extra]) == 2
+        captured = capsys.readouterr()
+        assert option in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("cells", ["1", "26"])
     def test_table_size_out_of_range(self, cells, capsys):
         assert run_cli(["universal-exact", "--cells", cells, "--table"]) == 2

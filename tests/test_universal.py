@@ -312,8 +312,8 @@ class TestRecurrenceStep:
 
 class TestMaskCounts:
     """The enumeration kernel against closed-form counts, past 2**16
-    masks and across more than one chunk, where the brute oracles
-    above (n <= 8) do not reach."""
+    masks and across the low table's split at bit 16, where the brute
+    oracles above (n <= 8) do not reach."""
 
     @pytest.mark.parametrize("n, i", [(17, 5), (21, 1), (21, 13), (24, 6)])
     def test_one_shift(self, n, i):
@@ -330,7 +330,17 @@ class TestMaskCounts:
 
     @pytest.mark.parametrize(
         "n, low, width",
-        [(17, 0, 8), (17, 8, 8), (17, 16, 1), (21, 8, 8), (21, 16, 5), (24, 16, 8)],
+        [
+            (17, 0, 8),
+            (17, 8, 8),
+            (17, 16, 1),
+            (21, 8, 8),
+            (21, 16, 5),
+            (24, 16, 8),
+            # fields across bit 16, split between the low table and the offsets
+            (20, 12, 8),
+            (24, 14, 5),
+        ],
     )
     def test_a_field(self, n, low, width):
         np.testing.assert_array_equal(
@@ -338,17 +348,35 @@ class TestMaskCounts:
             closed_form_field_counts(n, low, width),
         )
 
-    def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
+    def test_results_do_not_depend_on_the_split_point(self, monkeypatch):
         whole = (
             theorem_report(12),
             universal._mask_counts(17, (5,)),
             recurrence_step_check(13, 4),
         )
-        # 300 masks a chunk: chunk edges fall inside every 8-bit field
-        monkeypatch.setattr(universal, "_CHUNK", 300)
-        assert theorem_report(12) == whole[0]
-        np.testing.assert_array_equal(universal._mask_counts(17, (5,)), whole[1])
-        assert recurrence_step_check(13, 4) == whole[2]
+        # 0 low bits gives every mask its own offset, the one-mask-at-a-time
+        # enumeration; 1 and 5 put the split inside every 8-bit field
+        for low_bits in (0, 1, 5):
+            monkeypatch.setattr(universal, "_LOW_BITS", low_bits)
+            assert theorem_report(12) == whole[0]
+            np.testing.assert_array_equal(
+                universal._mask_counts(17, (5,)), whole[1]
+            )
+            assert recurrence_step_check(13, 4) == whole[2]
+
+    def test_one_bincount_per_call(self, monkeypatch):
+        real_bincount = np.bincount
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        np.testing.assert_array_equal(
+            universal._mask_counts(24, (6,)), closed_form_counts(24, 6)
+        )
+        assert len(calls) == 1
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
