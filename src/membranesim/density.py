@@ -37,9 +37,9 @@ from .simplex import (
     SUM_TOL,
     TIE_RTOL,
     BarycentricState,
-    classify_batch,
     from_internal_batch,
     internal_basis,
+    region_counts,
     region_of,
     simplex_measure,
     to_internal_coords,
@@ -345,7 +345,10 @@ class CentroidNeighborhood(ControlRegion):
         n = self.n_outcomes
         p = rng.dirichlet(np.ones(n), size=size)
         centroid = 1.0 / n
-        return centroid + self._t * (p - centroid)
+        p -= centroid
+        p *= self._t
+        p += centroid
+        return p
 
     def breakable_intervals(self):
         if self.n_outcomes != 2:
@@ -408,9 +411,10 @@ class BallComplement(ControlRegion):
         direction = rng.normal(size=(size, d))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radii = self.radius * rng.random(size) ** (1.0 / d)
-        z = self._centers_z[idx] + direction * radii[:, None]
-        ys = from_internal_batch(z, self.n_outcomes)
-        return np.clip(ys, 0.0, None)
+        direction *= radii[:, None]
+        direction += self._centers_z[idx]
+        ys = from_internal_batch(direction, self.n_outcomes)
+        return np.clip(ys, 0.0, None, out=ys)
 
     def breakable_intervals(self):
         if self.n_outcomes != 2:
@@ -604,8 +608,7 @@ class CellularGridDensity(Density):
         self._check_state(x)
         hits = np.zeros(self.n_outcomes, dtype=np.int64)
         for _, ys in self._cell_chunks(self._lattice, self._cells):
-            ys = ys[ys.min(axis=2) >= 0.0]
-            hits += np.bincount(classify_batch(ys, x)[0], minlength=self.n_outcomes)
+            hits += region_counts(ys[ys.min(axis=2) >= 0.0], x)[0]
         inside = int(hits.sum())
         return [int(h) / inside for h in hits]
 

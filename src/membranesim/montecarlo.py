@@ -25,7 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Density
-from .simplex import BarycentricState, classify_batch
+from .simplex import BarycentricState, region_counts
+
+# still importable from here: perfbench/spans.py wraps montecarlo.classify_batch
+from .simplex import classify_batch  # noqa: F401
 
 #: samples per logical block; fixed, part of the reproducibility contract
 BLOCK_SIZE = 1 << 16
@@ -205,10 +208,11 @@ def estimate(
 
     Each sample draws a breaking point from `rho` and classifies its
     region; boundary ties resolve to the lowest index and are tallied in
-    `boundary_hits`. Blocks run on at most `threads` workers, and on no
-    more than the CPU count. Deterministic given (x, rho, n_samples,
-    seed), whatever the thread count; `seed` may not be None, which would
-    draw fresh entropy for every block.
+    `boundary_hits`. `region_counts` counts each block tile by tile.
+    Blocks run on at most `threads` workers, and on no more than the CPU
+    count. Deterministic given (x, rho, n_samples, seed), whatever the
+    thread count; `seed` may not be None, which would draw fresh entropy
+    for every block.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -218,14 +222,11 @@ def estimate(
         raise ValueError("estimation needs a seed")
     if threads < 1:
         raise ValueError("need at least one thread")
-    n = x.n_outcomes
     full, rest = divmod(n_samples, BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
 
     def block(b: int):
-        lams = rho.sample_batch(substream(seed, b), sizes[b])
-        outcomes, on_boundary = classify_batch(lams, x)
-        return np.bincount(outcomes, minlength=n), int(on_boundary.sum())
+        return region_counts(rho.sample_batch(substream(seed, b), sizes[b]), x)
 
     # an executor starts one OS thread per block while none is idle
     workers = min(threads, len(sizes), os.cpu_count() or 1)

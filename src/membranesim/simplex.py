@@ -39,6 +39,9 @@ import numpy as np
 SUM_TOL = 1e-12
 #: relative tolerance for declaring two breaking-point ratios tied
 TIE_RTOL = 1e-12
+#: rows per `region_counts` slice: at N <= 8 the slice's (N, tile)
+#: float64 ratios take at most 1 MiB, inside a 4 MiB L2 cache
+_TILE_POINTS = 1 << 14
 
 
 def _as_exact(values) -> tuple[Fraction, ...] | None:
@@ -166,7 +169,9 @@ def classify_batch(
     lowest-index tie-break, and the mask of points whose minimal ratio
     is attained more than once within TIE_RTOL, as in `region_of`'s
     float path. The ratios are laid out one outcome per row, so every
-    reduction runs over contiguous rows of length `size`.
+    reduction runs over contiguous rows of length `size`. Its temporaries
+    grow with `size`; `region_counts` counts a large batch tile by tile
+    through it.
     """
     xs = x.coords
     if lams.ndim != 2 or lams.shape[1] != xs.size:
@@ -185,6 +190,24 @@ def classify_batch(
     for j in range(n - 2, -1, -1):
         outcomes[tied[j]] = j
     return outcomes, np.count_nonzero(tied, axis=0) > 1
+
+
+def region_counts(lams: np.ndarray, x: BarycentricState) -> tuple[np.ndarray, int]:
+    """Outcome counts of a (size, N) batch and its number of boundary ties.
+
+    Runs `classify_batch` on consecutive slices of _TILE_POINTS rows and
+    sums each slice's `np.bincount` and boundary count, so its temporaries
+    stay one slice long whatever `size` is. Counts are sums over rows, so
+    they do not depend on the slice length.
+    """
+    counts = np.zeros(x.n_outcomes, dtype=np.int64)
+    boundary_hits = 0
+    # one slice even when the batch is empty, so classify_batch checks its shape
+    for start in range(0, max(len(lams), 1), _TILE_POINTS):
+        outcomes, on_boundary = classify_batch(lams[start : start + _TILE_POINTS], x)
+        counts += np.bincount(outcomes, minlength=x.n_outcomes)
+        boundary_hits += int(np.count_nonzero(on_boundary))
+    return counts, boundary_hits
 
 
 def _hull_equations(
@@ -268,9 +291,10 @@ def from_internal_batch(zs: np.ndarray, n: int) -> np.ndarray:
     No simplex-membership check is performed; callers that may produce
     outside points must validate or reject themselves.
     """
-    basis = internal_basis(n)
-    grad = basis[:-1, :]
-    return zs @ grad + 1.0 / n
+    grad = internal_basis(n)[:-1, :]
+    ys = zs @ grad  # a new array, so the input is never written
+    ys += 1.0 / n
+    return ys
 
 
 def simplex_measure(n: int) -> float:

@@ -33,6 +33,7 @@ from membranesim.simplex import (
     classify_batch,
     from_internal_batch,
     internal_basis,
+    region_counts,
     region_of,
 )
 
@@ -794,9 +795,9 @@ class TestRegionIntegrals:
 
         def counted(ys, x):
             calls.append(len(ys))
-            return classify_batch(ys, x)
+            return region_counts(ys, x)
 
-        monkeypatch.setattr(density_module, "classify_batch", counted)
+        monkeypatch.setattr(density_module, "region_counts", counted)
         grid.region_probabilities(BarycentricState([0.25, 0.35, 0.4]))
         assert len(calls) == chunks
 

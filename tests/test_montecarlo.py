@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from membranesim import montecarlo
+from membranesim import montecarlo, simplex
 from membranesim.density import (
     Cellular1DDensity,
+    CellularGridDensity,
     CellularMask,
     DiracMixtureDensity,
     UniformDensity,
@@ -215,6 +216,40 @@ class TestEstimate:
         assert asked == [2]
         reference = estimate(x, rho, 3 * montecarlo.BLOCK_SIZE, 1)
         assert np.array_equal(serial.counts, reference.counts)
+
+
+class TestTiles:
+    STATES = [[0.7, 0.3], [0.2, 0.3, 0.5], [0.05, 0.1, 0.0, 0.25, 0.3, 0.3]]
+
+    def runs(self):
+        # 20_011 samples end mid-tile at every patched tile length
+        estimates = [
+            estimate(BarycentricState(s), UniformDensity(len(s)), 20_011, 7).to_json()
+            for s in self.STATES
+        ]
+        grid = CellularGridDensity(3, 4, mask=[1, 0, 1, 1] * 4)
+        return estimates, grid.region_probabilities(BarycentricState([0.2, 0.3, 0.5]))
+
+    def test_counts_do_not_depend_on_the_tile(self, monkeypatch):
+        whole = self.runs()
+        for tile in (1, 7, montecarlo.BLOCK_SIZE):
+            monkeypatch.setattr(simplex, "_TILE_POINTS", tile)
+            assert self.runs() == whole
+
+    def test_one_block_peaks_at_a_few_tiles_of_ratios(self):
+        # the sampled batch plus a few (N, tile) float64 slices; a whole-block
+        # classification would add about six such slices
+        x = BarycentricState([0.05, 0.1, 0.0, 0.25, 0.3, 0.3])
+        rho = UniformDensity(6)
+        estimate(x, rho, montecarlo.BLOCK_SIZE, 7)  # first-call allocations
+        tracemalloc.start()
+        try:
+            estimate(x, rho, montecarlo.BLOCK_SIZE, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lams_bytes = montecarlo.BLOCK_SIZE * 6 * 8
+        assert peak < lams_bytes + 3 * 6 * simplex._TILE_POINTS * 8
 
 
 class TestSubstream:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from membranesim.montecarlo import BLOCK_SIZE
 from membranesim.simplex import (
     BarycentricState,
     RegionLabel,
@@ -14,11 +15,12 @@ from membranesim.simplex import (
     from_internal_batch,
     hull_membership,
     internal_basis,
+    region_counts,
     region_of,
     simplex_measure,
     to_internal_coords,
 )
-from membranesim.simplex import _breaking_ratios, _hull_equations
+from membranesim.simplex import _TILE_POINTS, _breaking_ratios, _hull_equations
 
 
 def random_state(rng, n):
@@ -172,6 +174,50 @@ def test_classify_batch_resolves_a_rounded_tie_to_the_lowest_index():
     assert region_of(lam, x).indices == (1, 2)
     outcomes, on_boundary = classify_batch(lam.coords[None, :], x)
     assert outcomes.tolist() == [0] and on_boundary.tolist() == [True]
+
+
+def tie_batch(points, size, seed):
+    """`size` rows, each one of `points` or a uniform draw, in random order."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(len(points[0])), size=size)
+    fixed = rng.random(size) < 0.5
+    rows[fixed] = np.asarray(points)[rng.integers(0, len(points), fixed.sum())]
+    return rows
+
+
+# x itself ties every ratio; (0.4, 0.225, 0.375) ties outcomes 2 and 3
+TIED_3 = ([0.2, 0.3, 0.5], [[0.2, 0.3, 0.5], [0.4, 0.225, 0.375], [0.5, 0.3, 0.2]])
+# a zero weight: outcome 3's ratio is +inf, and x ties the other five
+TIED_6 = (
+    [0.05, 0.1, 0.0, 0.25, 0.3, 0.3],
+    [[0.05, 0.1, 0.0, 0.25, 0.3, 0.3], [0.1, 0.2, 0.0, 0.5, 0.1, 0.1]],
+)
+
+
+class TestRegionCounts:
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, _TILE_POINTS - 1, _TILE_POINTS, _TILE_POINTS + 1, BLOCK_SIZE + 3],
+    )
+    @pytest.mark.parametrize("state,points", [TIED_3, TIED_6])
+    def test_matches_the_per_point_classification(self, size, state, points):
+        x = BarycentricState(state)
+        lams = tie_batch(points, size, seed=size)
+        outcomes, on_boundary = classify_batch(lams, x)
+        counts, boundary_hits = region_counts(lams, x)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(
+            counts, np.bincount(outcomes, minlength=x.n_outcomes)
+        )
+        assert boundary_hits == int(on_boundary.sum())
+        assert counts.sum() == size
+        if size > _TILE_POINTS:
+            assert boundary_hits > 0
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_a_batch_of_the_wrong_dimension_is_rejected(self, size):
+        with pytest.raises(ValueError, match="batch shape"):
+            region_counts(np.zeros((size, 4)), BarycentricState([0.2, 0.3, 0.5]))
 
 
 class TestRegionLabel:
