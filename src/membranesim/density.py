@@ -119,6 +119,13 @@ class Density(abc.ABC):
         """Draw `size` breaking points, returned as a (size, N) array of
         barycentric coordinates. Deterministic given the generator state."""
 
+    def sample_rays(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw `size` rows, each a positive multiple of a breaking point
+        that `sample_batch` would draw from the same generator state.
+        Region classification ignores the scale, so `estimate` draws
+        through this; by default the rows are the points themselves."""
+        return self.sample_batch(rng, size)
+
     def region_probabilities(self, x: BarycentricState) -> list:
         """Integrals of the density over every collapse region of state
         `x`, outcome 1 first, in one pass; Fractions on the exact code
@@ -144,8 +151,10 @@ class UniformDensity(Density):
     Sampling draws a flat Dirichlet vector (normalised unit-rate
     exponentials); because the barycentric-to-internal change of basis
     is orthonormal, this is uniform for the hyperplane's Lebesgue
-    measure. The region integrals are the barycentric coordinates of the
-    state itself.
+    measure. `sample_rays` returns the exponentials before that
+    normalisation, the same draws, and `estimate` classifies them as
+    they are. The region integrals are the barycentric coordinates of
+    the state itself.
     """
 
     def __init__(self, n_outcomes: int):
@@ -155,6 +164,11 @@ class UniformDensity(Density):
 
     def sample_batch(self, rng, size):
         return rng.dirichlet(np.ones(self.n_outcomes), size=size)
+
+    def sample_rays(self, rng, size):
+        # rng.dirichlet with unit alphas draws exactly these, then scales
+        # each row by 1/sum
+        return rng.standard_exponential((size, self.n_outcomes))
 
     def region_probabilities(self, x):
         self._check_state(x)

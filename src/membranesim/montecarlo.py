@@ -208,7 +208,9 @@ def estimate(
 
     Each sample draws a breaking point from `rho` and classifies its
     region; boundary ties resolve to the lowest index and are tallied in
-    `boundary_hits`. `region_counts` counts each block tile by tile.
+    `boundary_hits`. Blocks draw through `rho.sample_rays`, whose rows
+    are positive multiples of the points, and `region_counts` counts
+    each block tile by tile.
     Blocks run on at most `threads` workers, and on no more than the CPU
     count. Deterministic given (x, rho, n_samples, seed), whatever the
     thread count; `seed` may not be None, which would draw fresh entropy
@@ -226,7 +228,7 @@ def estimate(
     sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
 
     def block(b: int):
-        return region_counts(rho.sample_batch(substream(seed, b), sizes[b]), x)
+        return region_counts(rho.sample_rays(substream(seed, b), sizes[b]), x)
 
     # an executor starts one OS thread per block while none is idle
     workers = min(threads, len(sizes), os.cpu_count() or 1)

@@ -165,6 +165,9 @@ def classify_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised region classification for a (size, N) batch of points.
 
+    A row may be any positive multiple of a point: the ratios and the
+    relative TIE_RTOL band both scale with it.
+
     Returns (outcomes, on_boundary): 0-based outcome indices after the
     lowest-index tie-break, and the mask of points whose minimal ratio
     is attained more than once within TIE_RTOL, as in `region_of`'s
@@ -195,6 +198,7 @@ def classify_batch(
 def region_counts(lams: np.ndarray, x: BarycentricState) -> tuple[np.ndarray, int]:
     """Outcome counts of a (size, N) batch and its number of boundary ties.
 
+    As in `classify_batch`, a row may be any positive multiple of a point.
     Runs `classify_batch` on consecutive slices of _TILE_POINTS rows and
     sums each slice's `np.bincount` and boundary count, so its temporaries
     stay one slice long whatever `size` is. Counts are sums over rows, so

@@ -26,7 +26,7 @@ from membranesim.density import (
     density_from_spec,
     truncate,
 )
-from membranesim.montecarlo import BLOCK_SIZE, estimate
+from membranesim.montecarlo import BLOCK_SIZE, _RandomMaskDensity, estimate
 from membranesim.simplex import (
     SUM_TOL,
     BarycentricState,
@@ -897,3 +897,41 @@ class TestSpecFamilies:
         for run in runs[1:]:
             assert np.array_equal(run.counts, runs[0].counts)
             assert run.boundary_hits == runs[0].boundary_hits
+
+
+def other_families():
+    """One density of every family that keeps the default `sample_rays`."""
+    balls = {"type": "balls", "centers": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]}
+    dirac_3 = ([0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6])
+    dirac_6 = ([0.1, 0.2, 0.0, 0.3, 0.2, 0.2], [1 / 6] * 6)
+    return [
+        Cellular1DDensity(CellularMask.from_string("bubbuub")),
+        DiracMixtureDensity([BarycentricState(p) for p in dirac_3], [5, 3, 2]),
+        DiracMixtureDensity([BarycentricState(p) for p in dirac_6]),
+        CellularGridDensity(3, 4),
+        CellularGridDensity(6, 2),
+        TruncatedUniformDensity(CentroidNeighborhood(2, 0.4)),
+        TruncatedUniformDensity(CentroidNeighborhood(3, 0.3)),
+        TruncatedUniformDensity(CentroidNeighborhood(6, 0.5)),
+        density_from_spec(
+            {"type": "truncated-uniform", "epsilon": 0.1, "control": balls}, 3
+        ),
+        _RandomMaskDensity(12),
+    ]
+
+
+class TestSampleRays:
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("size", [1, 5000, BLOCK_SIZE])
+    def test_uniform_rays_normalise_to_the_dirichlet_draws(self, n, size):
+        rho = UniformDensity(n)
+        rays = rho.sample_rays(np.random.default_rng(size + n), size)
+        points = rho.sample_batch(np.random.default_rng(size + n), size)
+        assert rays.shape == (size, n) and rays.min() > 0.0
+        assert np.array_equal(rays * (1.0 / rays.sum(axis=1, keepdims=True)), points)
+
+    @pytest.mark.parametrize("rho", other_families(), ids=lambda v: type(v).__name__)
+    def test_every_other_family_draws_its_points(self, rho):
+        rays = rho.sample_rays(np.random.default_rng(21), 5000)
+        points = rho.sample_batch(np.random.default_rng(21), 5000)
+        assert np.array_equal(rays, points)

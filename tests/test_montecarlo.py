@@ -187,9 +187,8 @@ class TestEstimate:
 
     def test_rejects_a_missing_seed(self, monkeypatch):
         # a None seed would draw fresh entropy for every block
-        monkeypatch.setattr(
-            UniformDensity, "sample_batch", lambda *a: pytest.fail("sampled")
-        )
+        for name in ("sample_batch", "sample_rays"):
+            monkeypatch.setattr(UniformDensity, name, lambda *a: pytest.fail("sampled"))
         with pytest.raises(ValueError, match="seed"):
             estimate(BarycentricState([0.5, 0.5]), UniformDensity(2), 100_000, None)
         with pytest.raises(ValueError, match="seed"):

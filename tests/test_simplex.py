@@ -220,6 +220,42 @@ class TestRegionCounts:
             region_counts(np.zeros((size, 4)), BarycentricState([0.2, 0.3, 0.5]))
 
 
+# the breaking points of the pinned boundary stream: x ties three ways,
+# (0.4, 0.225, 0.375) ties outcomes 2 and 3
+PINNED_TIES = (
+    [0.2, 0.3, 0.5],
+    [[0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.4, 0.225, 0.375], [0.1, 0.6, 0.3]],
+)
+
+
+class TestPositiveScale:
+    @pytest.mark.parametrize("scale", [1e-13, 1e-3, 0.5, 3.0, math.pi, 1e6, 1e13])
+    def test_scaled_points_count_the_same_ties_included(self, scale):
+        state, points = PINNED_TIES
+        x = BarycentricState(state)
+        pts = np.asarray(points)
+        counts, boundary_hits = region_counts(pts, x)
+        assert boundary_hits == 2
+        scaled_counts, scaled_hits = region_counts(scale * pts, x)
+        np.testing.assert_array_equal(scaled_counts, counts)
+        assert scaled_hits == boundary_hits
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            [0.3, 0.7],
+            [0.05, 0.1, 0.0, 0.25, 0.3, 0.3],
+            [Fraction(1, 3)] * 3,
+        ],
+    )
+    def test_exponential_rays_classify_as_their_normalised_rows(self, state):
+        x = BarycentricState(state)
+        rays = np.random.default_rng(8).standard_exponential((BLOCK_SIZE, x.n_outcomes))
+        rows = rays * (1.0 / rays.sum(axis=1, keepdims=True))
+        for got, want in zip(classify_batch(rays, x), classify_batch(rows, x)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestRegionLabel:
     def test_needs_at_least_one_index(self):
         with pytest.raises(ValueError):
