@@ -46,7 +46,6 @@ from .simplex import (
     BarycentricState,
     RegionLabel,
     classify_batch,
-    hull_membership,
     region_of,
     simplex_measure,
     to_internal_coords,
@@ -97,7 +96,6 @@ __all__ = [
     "dirac_limit_demo",
     "estimate",
     "estimate_universal",
-    "hull_membership",
     "identity_report",
     "perturb_state",
     "recurrence_step_check",

@@ -17,8 +17,8 @@ Conventions used throughout the package:
   Writing lam = mu*x + sum_{j!=i} nu_j e_j with mu + sum_j nu_j = 1 and
   eliminating mu = lam_i / x_i gives nu_j = lam_j - (lam_i/x_i) x_j, so
   feasibility (all nu_j >= 0) holds exactly when i minimises the ratio.
-  `hull_membership` solves that feasibility problem directly with a
-  linear program and serves as the independent oracle for the rule.
+  The independent oracle for the rule, a linear program that solves
+  that feasibility problem directly, lives in `tests/test_simplex.py`.
 
 States built from ints or `fractions.Fraction` keep an exact copy of
 their coordinates next to the float view; operations that can stay in
@@ -212,45 +212,6 @@ def region_counts(lams: np.ndarray, x: BarycentricState) -> tuple[np.ndarray, in
         counts += np.bincount(outcomes, minlength=x.n_outcomes)
         boundary_hits += int(np.count_nonzero(on_boundary))
     return counts, boundary_hits
-
-
-def _hull_equations(
-    lam: BarycentricState, x: BarycentricState, outcome: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equality system A v = lam of `hull_membership`, v = (mu, nu_j)."""
-    n = x.n_outcomes
-    if lam.n_outcomes != n:
-        raise ValueError("dimension mismatch")
-    if not 1 <= outcome <= n:
-        raise ValueError(f"outcome must be in 1..{n}")
-    a_eq = np.zeros((n, n))
-    a_eq[:, 0] = x.coords
-    col = 1
-    for j in range(n):
-        if j != outcome - 1:
-            a_eq[j, col] = 1.0
-            col += 1
-    return a_eq, lam.coords
-
-
-def hull_membership(lam: BarycentricState, x: BarycentricState, outcome: int) -> bool:
-    """Independent linear-feasibility test that `lam` lies in region `outcome`.
-
-    Solves for mu, nu_j >= 0 with lam = mu*x + sum_{j != outcome} nu_j e_j;
-    the affine constraint mu + sum nu_j = 1 is implied because the
-    weights sum to one on both sides. Does not use the ratio rule.
-    """
-    from scipy.optimize import linprog
-
-    a_eq, b_eq = _hull_equations(lam, x, outcome)
-    res = linprog(
-        c=np.zeros(len(b_eq)),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    return res.status == 0
 
 
 @lru_cache(maxsize=None)

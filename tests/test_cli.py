@@ -923,3 +923,60 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert read_json(out)["average"] == "3/5"
+
+
+#: the README commands at small sizes, robustness also by Monte Carlo at N = 3
+README_RUNS = [
+    ["simulate", "--state", "0.2,0.3,0.5", "--samples", "10000", "--seed", "7"],
+    ["universal-exact", "--cells", "10", "--position", "7"],
+    ["universal-exact", "--cells", "8", "--table"],
+    ["identities", "--n-max", "40"],
+    ["approximate", "--m", "8", "--ell", "8"],
+    ["robustness", "--state", "0.495,0.505", "--delta", "0.01,-0.01"]
+    + ["--epsilon-grid", "0.02,0.1,0.5,1.0"],
+    ["robustness", "--state", "0.3,0.3,0.4", "--delta", "0.01,-0.01,0"]
+    + ["--epsilon-grid", "0.5", "--method", "mc", "--samples", "10000", "--seed", "3"],
+    ["dirac-limit", "--state", "0.333,0.333,0.334"]
+    + ["--points", "0.5,0.3,0.2;0.2,0.5,0.3", "--epsilons", "0.1,0.05,0.02"]
+    + ["--samples", "5000", "--seed", "4"],
+]
+
+#: runs each command of argv[2] (JSON) with --out under argv[1] while any
+#: import of scipy fails, and exits non-zero if one fails or scipy loads
+_NO_SCIPY_CHILD = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("scipy imported past the blocking finder")
+
+from membranesim import cli
+
+runs = json.loads(sys.argv[2])
+codes = [cli.main(args + ["--out", f"{sys.argv[1]}/{i}"]) for i, args in enumerate(runs)]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+if any(codes) or loaded:
+    sys.exit(f"exit codes {codes}, scipy modules loaded: {loaded}")
+"""
+
+
+def test_readme_commands_run_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: every README command runs, in
+    a process where importing scipy fails, and never loads it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path), json.dumps(README_RUNS)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.iterdir())) == len(README_RUNS)

@@ -13,18 +13,56 @@ from membranesim.simplex import (
     RegionLabel,
     classify_batch,
     from_internal_batch,
-    hull_membership,
     internal_basis,
     region_counts,
     region_of,
     simplex_measure,
     to_internal_coords,
 )
-from membranesim.simplex import _TILE_POINTS, _breaking_ratios, _hull_equations
+from membranesim.simplex import _TILE_POINTS, _breaking_ratios
 
 
 def random_state(rng, n):
     return BarycentricState(rng.dirichlet(np.ones(n)))
+
+
+def _hull_equations(
+    lam: BarycentricState, x: BarycentricState, outcome: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equality system A v = lam of `hull_membership`, v = (mu, nu_j)."""
+    n = x.n_outcomes
+    if lam.n_outcomes != n:
+        raise ValueError("dimension mismatch")
+    if not 1 <= outcome <= n:
+        raise ValueError(f"outcome must be in 1..{n}")
+    a_eq = np.zeros((n, n))
+    a_eq[:, 0] = x.coords
+    col = 1
+    for j in range(n):
+        if j != outcome - 1:
+            a_eq[j, col] = 1.0
+            col += 1
+    return a_eq, lam.coords
+
+
+def hull_membership(lam: BarycentricState, x: BarycentricState, outcome: int) -> bool:
+    """Independent linear-feasibility test that `lam` lies in region `outcome`.
+
+    Solves for mu, nu_j >= 0 with lam = mu*x + sum_{j != outcome} nu_j e_j;
+    the affine constraint mu + sum nu_j = 1 is implied because the
+    weights sum to one on both sides. Does not use the ratio rule.
+    """
+    from scipy.optimize import linprog
+
+    a_eq, b_eq = _hull_equations(lam, x, outcome)
+    res = linprog(
+        c=np.zeros(len(b_eq)),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    return res.status == 0
 
 
 class TestBarycentricState:
