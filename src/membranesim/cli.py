@@ -210,10 +210,8 @@ def _cmd_identities(args):
 
 def _cmd_approximate(args):
     cdf = APPROXIMATION_TARGETS[args.target]
-    if not 0.0 <= args.position <= 1.0:
-        raise ValueError("--position must lie in [0, 1]")
-    density = cellular_approximation(cdf, args.m, args.ell)
     state = BarycentricState([args.position, 1.0 - args.position])
+    density = cellular_approximation(cdf, args.m, args.ell)
     p_cell = float(density.region_probability(state, 1))
     p_exact = float(cdf(args.position))
     row = {
@@ -250,7 +248,7 @@ def _cmd_robustness(args):
     rows = report.rows()
     print(
         f"epsilon_tilde={report.epsilon_tilde:.6g} "
-        f"({'exact' if report.epsilon_tilde_exact else 'geometry-dependent'})"
+        f"({'exact' if report.epsilon_tilde_exact else 'lower bound'})"
     )
     for row in rows:
         print(

@@ -329,13 +329,6 @@ class ControlRegion(abc.ABC):
             f"{type(self).__name__} has no interval description"
         )
 
-    def min_epsilon_covering(self, states) -> float:
-        """Smallest epsilon of this geometry family whose breakable zone
-        contains the given states."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not define a covering threshold"
-        )
-
 
 class CentroidNeighborhood(ControlRegion):
     """Control region leaving breakable a simplex-shaped neighbourhood of
@@ -369,8 +362,11 @@ class CentroidNeighborhood(ControlRegion):
             raise NotAnalyticError("interval description needs two outcomes")
         return [((1.0 - self._t) / 2.0, (1.0 + self._t) / 2.0)]
 
-    def min_epsilon_covering(self, states):
-        n = self.n_outcomes
+    @staticmethod
+    def min_epsilon_covering(states) -> float:
+        """Smallest epsilon whose breakable zone contains the given
+        states, which share a dimension."""
+        n = states[0].n_outcomes
         worst = max(1.0 - n * float(min(s.coords)) for s in states)
         return float(np.clip(worst, 0.0, 1.0)) ** (n - 1)
 

@@ -20,13 +20,12 @@ class QuantumState:
 
     `moduli_sq` are the squared amplitude moduli, validated as the
     weights of a `BarycentricState`; `phases` are radians and default to
-    zero. Outcome eigenvalues, when physically meaningful, can be
-    attached as `labels`; they play no role in any computation here.
+    zero.
     """
 
-    __slots__ = ("moduli_sq", "phases", "labels")
+    __slots__ = ("moduli_sq", "phases")
 
-    def __init__(self, moduli_sq, phases=None, labels=None):
+    def __init__(self, moduli_sq, phases=None):
         m = BarycentricState(np.asarray(moduli_sq, dtype=float)).coords
         if phases is None:
             p = np.zeros(m.size)
@@ -39,12 +38,11 @@ class QuantumState:
         p.flags.writeable = False
         self.moduli_sq = m
         self.phases = p
-        self.labels = tuple(labels) if labels is not None else None
 
     @classmethod
-    def from_amplitudes(cls, amplitudes, labels=None) -> "QuantumState":
+    def from_amplitudes(cls, amplitudes) -> "QuantumState":
         a = np.asarray(amplitudes, dtype=complex)
-        return cls(np.abs(a) ** 2, np.angle(a), labels=labels)
+        return cls(np.abs(a) ** 2, np.angle(a))
 
     @property
     def n_outcomes(self) -> int:

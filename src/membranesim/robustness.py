@@ -8,14 +8,14 @@ obeys |dP_i| = |dx_i| / epsilon, so control (small epsilon) buys
 determinism at the price of sensitivity, and the uncontrolled
 measurement (epsilon = 1) is the most robust one.
 
-The default control geometry leaves breakable a simplex-shaped
+A sweep has one control geometry: it leaves breakable a simplex-shaped
 neighbourhood of the centroid. For two outcomes its covering threshold
 is exact: the swept zone is the segment between the two states, and it
 lies in the breakable interval exactly when epsilon >= epsilon_tilde =
 max over the two states of |2 x1 - 1|. For more outcomes the swept
-zone fans out to the simplex corners, the threshold depends on the
-chosen geometry, and reported values are geometry-specific lower
-bounds; sweeps then run on the Monte Carlo path.
+zone fans out to the simplex corners, and reported thresholds are
+centroid-specific lower bounds; sweeps then run on the Monte Carlo
+path.
 
 Driving epsilon to zero instead, with ball-shaped breakable zones
 around chosen points, concentrates the density on those points and the
@@ -86,25 +86,21 @@ def robustness_sweep(
     delta_x,
     epsilon_grid,
     outcome: int = 1,
-    control_factory=None,
     method: str = "analytic",
     n_samples: int = 200_000,
     seed=None,
-    epsilon_tilde: float | None = None,
     threads: int = 1,
 ) -> RobustnessReport:
     """Measure |dP_outcome| across an epsilon grid and compare with
     |dx_outcome| / epsilon.
 
-    `control_factory` maps an epsilon to a ControlRegion and defaults to
-    the centroid neighbourhood; the region for every epsilon is built,
-    and so validated, before any sampling. The analytic path needs a
-    two-outcome geometry with an interval description; the Monte Carlo
-    path needs a seed, runs on `threads` workers and reports the
-    combined standard error of each measured value. A zero prediction has ratio None.
-    The report flags the threshold epsilon where the scaling law starts
-    to hold; thresholds are exact for two outcomes under the default
-    geometry and geometry-dependent estimates otherwise.
+    The control region is the centroid neighbourhood; the region for
+    every epsilon is built, and so validated, before any sampling. The
+    analytic path needs two outcomes; the Monte Carlo path needs a seed,
+    runs on `threads` workers and reports the combined standard error of
+    each measured value. A zero prediction has ratio None. The report
+    flags the threshold epsilon where the scaling law starts to hold:
+    exact for two outcomes, a lower bound otherwise.
     """
     n = x.n_outcomes
     if not 1 <= outcome <= n:
@@ -117,22 +113,12 @@ def robustness_sweep(
         raise ValueError("the Monte Carlo path needs a seed")
     x_moved = perturb_state(x, delta_x)
     delta_i = float(np.asarray(delta_x, dtype=float)[outcome - 1])
-    if control_factory is None:
-        control_factory = lambda eps: CentroidNeighborhood(n, eps)
-
-    if epsilon_tilde is None:
-        probe = control_factory(1.0)
-        try:
-            epsilon_tilde = probe.min_epsilon_covering([x, x_moved])
-            tilde_exact = n == 2
-        except NotImplementedError:
-            epsilon_tilde = float("nan")
-            tilde_exact = False
-    else:
-        tilde_exact = False
+    epsilon_tilde = CentroidNeighborhood.min_epsilon_covering([x, x_moved])
 
     grid = [float(e) for e in epsilon_grid]
-    densities = [truncate(UniformDensity(n), control_factory(e)) for e in grid]
+    densities = [
+        truncate(UniformDensity(n), CentroidNeighborhood(n, e)) for e in grid
+    ]
     measured, predicted, errors = [], [], []
     for idx, (eps, density) in enumerate(zip(grid, densities)):
         if method == "analytic":
@@ -161,8 +147,8 @@ def robustness_sweep(
         measured=tuple(measured),
         predicted=tuple(predicted),
         standard_errors=tuple(errors),
-        epsilon_tilde=float(epsilon_tilde),
-        epsilon_tilde_exact=tilde_exact,
+        epsilon_tilde=epsilon_tilde,
+        epsilon_tilde_exact=n == 2,
         method=method,
     )
 

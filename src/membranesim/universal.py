@@ -118,7 +118,7 @@ def _mask_counts(
     """
     if n > MAX_ENUMERABLE_CELLS:
         raise ValueError(
-            f"enumeration over 2**{n} masks exceeds the default bound of "
+            f"enumeration over 2**{n} masks exceeds the bound of "
             f"{MAX_ENUMERABLE_CELLS} cells"
         )
     field = (1 << width) - 1

@@ -502,6 +502,18 @@ class TestApproximate:
         assert captured.out == ""
         assert "cells" in captured.err
 
+    @pytest.mark.parametrize("position", ["1.5", "nan"])
+    def test_bad_position_fails_before_any_work(self, position, monkeypatch, capsys):
+        def must_not_run(u):
+            raise AssertionError("the target CDF ran before the position was checked")
+
+        monkeypatch.setitem(cli.APPROXIMATION_TARGETS, "ramp", must_not_run)
+        args = ["approximate", "--target", "ramp", "--position", position]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "barycentric weights" in captured.err
+
     def test_unknown_target(self, capsys):
         # argparse rejects the choice itself, with the same exit status
         with pytest.raises(SystemExit) as exc:

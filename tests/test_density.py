@@ -261,6 +261,8 @@ class TestControlRegions:
         ctrl = CentroidNeighborhood(2, 1.0)
         states = [BarycentricState([0.45, 0.55]), BarycentricState([0.6, 0.4])]
         assert ctrl.min_epsilon_covering(states) == pytest.approx(0.2)
+        family = CentroidNeighborhood.min_epsilon_covering(states)
+        assert family == ctrl.min_epsilon_covering(states)
 
     def test_ball_validation(self):
         with pytest.raises(ValueError, match="leaves the simplex"):

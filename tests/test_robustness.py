@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from membranesim import robustness
-from membranesim.density import CentroidNeighborhood, IntervalControl
 from membranesim.robustness import (
     dirac_limit_demo,
     perturb_state,
@@ -111,6 +110,15 @@ class TestMonteCarloSweep:
         b = robustness_sweep(x, [0.01, -0.01, 0.0], [0.5], threads=2, **kwargs)
         assert a.measured == b.measured
 
+    def test_threshold_at_three_outcomes(self):
+        # the moved state (0.32, 0.29, 0.39) sits nearest a face:
+        # epsilon_tilde = (1 - 3 * 0.29)**2, a lower bound at N = 3
+        x = BarycentricState([0.3, 0.3, 0.4])
+        kwargs = dict(method="mc", n_samples=1000, seed=1)
+        report = robustness_sweep(x, [0.02, -0.01, -0.01], [1.0], **kwargs)
+        assert report.epsilon_tilde == pytest.approx(0.0169, abs=1e-12)
+        assert not report.epsilon_tilde_exact
+
     def test_zero_prediction_has_no_ratio(self):
         x = BarycentricState([0.3, 0.3, 0.4])
         kwargs = dict(outcome=3, method="mc", n_samples=1000, seed=1)
@@ -126,24 +134,6 @@ class TestSweepValidation:
             robustness_sweep(x, [0.01, -0.01], [0.0])
         with pytest.raises(ValueError):
             robustness_sweep(x, [0.01, -0.01], [1.5])
-
-    def test_custom_geometry_factory(self):
-        x = BarycentricState([0.8, 0.2])
-        report = robustness_sweep(
-            x,
-            [0.01, -0.01],
-            [0.4],
-            control_factory=lambda eps: IntervalControl([(1.0 - eps, 1.0)]),
-            epsilon_tilde=0.4,
-        )
-        # breakable zone [0.6, 1.0]: dP = 0.01/0.4
-        assert report.measured[0] == pytest.approx(0.025, abs=1e-12)
-        assert not report.epsilon_tilde_exact
-
-    def test_explicit_threshold_is_respected(self):
-        x = BarycentricState([0.495, 0.505])
-        report = robustness_sweep(x, [0.01, -0.01], [1.0], epsilon_tilde=0.3)
-        assert report.epsilon_tilde == 0.3
 
 
 class TestDiracLimit:
@@ -228,16 +218,3 @@ def test_every_epsilon_is_checked_before_any_sampling(bad_epsilon, monkeypatch):
     pts = [BarycentricState([0.5, 0.3, 0.2])]
     with pytest.raises(ValueError, match="epsilon"):
         dirac_limit_demo(x, pts, [0.01, bad_epsilon], n_samples=100, seed=1)
-
-
-def test_default_geometry_is_centroid():
-    # the default factory and an explicit centroid geometry agree
-    x = BarycentricState([0.495, 0.505])
-    explicit = robustness_sweep(
-        x,
-        [0.01, -0.01],
-        [0.5],
-        control_factory=lambda eps: CentroidNeighborhood(2, eps),
-    )
-    default = robustness_sweep(x, [0.01, -0.01], [0.5])
-    assert explicit.measured == default.measured
