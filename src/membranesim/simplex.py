@@ -40,7 +40,9 @@ SUM_TOL = 1e-12
 #: relative tolerance for declaring two breaking-point ratios tied
 TIE_RTOL = 1e-12
 #: rows per `region_counts` slice: at N <= 8 the slice's (N, tile)
-#: float64 ratios take at most 1 MiB, inside a 4 MiB L2 cache
+#: float64 ratios take at most 1 MiB, inside a 4 MiB L2 cache; per row
+#: the slice also holds a float64 bound, an intp label, a byte counter
+#: and a few bool masks
 _TILE_POINTS = 1 << 14
 
 
@@ -150,14 +152,30 @@ def region_of(lam: BarycentricState, x: BarycentricState) -> RegionLabel:
         rmin = min(r for r in ratios if r is not None)
         tied = tuple(j + 1 for j, r in enumerate(ratios) if r == rmin)
         return RegionLabel(tied)
-    ratios = _breaking_ratios(lam.coords, x.coords)
-    rmin = ratios.min()
-    tied = np.flatnonzero(ratios <= rmin * (1.0 + TIE_RTOL))
+    ratios, bound = _breaking_ratios(lam.coords[None, :], x)
+    tied = np.flatnonzero(ratios[:, 0] <= bound[0])
     return RegionLabel(tuple(int(j) + 1 for j in tied))
 
 
-def _breaking_ratios(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.divide(lam, x, out=np.full_like(lam, np.inf), where=x > 0)
+def _breaking_ratios(
+    lams: np.ndarray, x: BarycentricState
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ratio rule of a (size, N) batch: its (N, size) ratios, one
+    outcome per row and +inf where x_j = 0, and each point's tie bound,
+    its minimal ratio widened by TIE_RTOL. Outcome j ties for a point
+    when its ratio is at most the bound."""
+    xs = x.coords
+    if lams.ndim != 2 or lams.shape[1] != xs.size:
+        raise ValueError("batch shape does not match the state dimension")
+    ratios = np.empty((xs.size, lams.shape[0]))
+    for j, xj in enumerate(xs):
+        if xj > 0:
+            np.divide(lams[:, j], xj, out=ratios[j])
+        else:
+            ratios[j] = np.inf
+    bound = ratios.min(axis=0)
+    bound *= 1.0 + TIE_RTOL
+    return ratios, bound
 
 
 def classify_batch(
@@ -171,28 +189,26 @@ def classify_batch(
     Returns (outcomes, on_boundary): 0-based outcome indices after the
     lowest-index tie-break, and the mask of points whose minimal ratio
     is attained more than once within TIE_RTOL, as in `region_of`'s
-    float path. The ratios are laid out one outcome per row, so every
-    reduction runs over contiguous rows of length `size`. Its temporaries
-    grow with `size`; `region_counts` counts a large batch tile by tile
-    through it.
+    float path. Both come from one tie mask per outcome, with integer
+    arithmetic and no masked stores. Its temporaries grow with `size`;
+    `region_counts` counts a large batch tile by tile through it.
     """
-    xs = x.coords
-    if lams.ndim != 2 or lams.shape[1] != xs.size:
-        raise ValueError("batch shape does not match the state dimension")
-    n, size = xs.size, lams.shape[0]
-    ratios = np.empty((n, size))
-    for j in range(n):
-        if xs[j] > 0:
-            np.divide(lams[:, j], xs[j], out=ratios[j])
-        else:
-            ratios[j] = np.inf
-    bound = ratios.min(axis=0)
-    bound *= 1.0 + TIE_RTOL
-    tied = ratios <= bound
-    outcomes = np.full(size, n - 1, dtype=np.intp)
-    for j in range(n - 2, -1, -1):
-        outcomes[tied[j]] = j
-    return outcomes, np.count_nonzero(tied, axis=0) > 1
+    ratios, bound = _breaking_ratios(lams, x)
+    n, size = ratios.shape
+    # claimed: tied at an outcome below j. A label is n - 1 less the number
+    # of j at which its point is already claimed, which leaves its lowest
+    # tied index; a tie at a claimed point is a boundary hit.
+    claimed = ratios[0] <= bound
+    n_claimed = np.zeros(size, dtype=np.min_scalar_type(n - 1))
+    on_boundary = np.zeros(size, dtype=bool)
+    tied = np.empty(size, dtype=bool)
+    for j in range(1, n):
+        n_claimed += claimed
+        np.less_equal(ratios[j], bound, out=tied)
+        on_boundary |= tied & claimed
+        claimed |= tied
+    np.subtract(n - 1, n_claimed, out=n_claimed)
+    return n_claimed.astype(np.intp), on_boundary
 
 
 def region_counts(lams: np.ndarray, x: BarycentricState) -> tuple[np.ndarray, int]:
@@ -200,17 +216,23 @@ def region_counts(lams: np.ndarray, x: BarycentricState) -> tuple[np.ndarray, in
 
     As in `classify_batch`, a row may be any positive multiple of a point.
     Runs `classify_batch` on consecutive slices of _TILE_POINTS rows and
-    sums each slice's `np.bincount` and boundary count, so its temporaries
-    stay one slice long whatever `size` is. Counts are sums over rows, so
-    they do not depend on the slice length.
+    sums each slice's boundary count and, for each outcome but the last,
+    the count of its labels (one comparison per outcome, cheaper at small
+    N than `np.bincount`'s scattered increments); the last outcome takes
+    the remaining rows. Its temporaries stay one slice long whatever
+    `size` is. Counts are sums over rows, so they do not depend on the
+    slice length.
     """
-    counts = np.zeros(x.n_outcomes, dtype=np.int64)
+    n = x.n_outcomes
+    counts = np.zeros(n, dtype=np.int64)
     boundary_hits = 0
     # one slice even when the batch is empty, so classify_batch checks its shape
     for start in range(0, max(len(lams), 1), _TILE_POINTS):
         outcomes, on_boundary = classify_batch(lams[start : start + _TILE_POINTS], x)
-        counts += np.bincount(outcomes, minlength=x.n_outcomes)
+        for j in range(n - 1):
+            counts[j] += np.count_nonzero(outcomes == j)
         boundary_hits += int(np.count_nonzero(on_boundary))
+    counts[-1] = len(lams) - counts[:-1].sum()
     return counts, boundary_hits
 
 

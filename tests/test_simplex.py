@@ -1,12 +1,14 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from membranesim import simplex
 from membranesim.montecarlo import BLOCK_SIZE
 from membranesim.simplex import (
     BarycentricState,
@@ -185,24 +187,49 @@ def states_and_points(draw):
     return x, draw(st.permutations(lams)) if lams else [x]
 
 
+def batch_views(lams):
+    """The points' coordinates as C-order, Fortran-order and strided views."""
+    batch = np.array([lam.coords for lam in lams])
+    # NaN rows padded between the points make strided[::2] a non-contiguous view
+    strided = np.full((2 * len(lams), batch.shape[1]), np.nan)
+    strided[::2] = batch
+    return batch, np.asfortranarray(batch), strided[::2]
+
+
 @given(states_and_points())
 @settings(max_examples=400, deadline=None)
 def test_classify_batch_agrees_with_exact_region_of(case):
     x_exact, lams_exact = case
     x = BarycentricState(x_exact)
     lams = [BarycentricState(lam) for lam in lams_exact]
-    batch = np.array([lam.coords for lam in lams])
-    # NaN rows padded between the points make strided[::2] a non-contiguous view
-    strided = np.full((2 * len(lams), x.n_outcomes), np.nan)
-    strided[::2] = batch
     labels = [region_of(lam, x) for lam in lams]
-    for view in (batch, np.asfortranarray(batch), strided[::2]):
+    for view in batch_views(lams):
         outcomes, on_boundary = classify_batch(view, x)
         assert outcomes.dtype == np.intp and on_boundary.dtype == bool
         assert len(outcomes) == len(on_boundary) == len(labels)
         for label, outcome, boundary in zip(labels, outcomes, on_boundary):
             assert outcome == label.outcome - 1
             assert boundary == label.is_boundary
+
+
+@given(states_and_points())
+@settings(max_examples=400, deadline=None)
+def test_region_counts_agree_with_exact_region_of(case):
+    # region_counts runs classify_batch, so its oracle is the exact path
+    # of region_of
+    x_exact, lams_exact = case
+    x = BarycentricState(x_exact)
+    lams = [BarycentricState(lam) for lam in lams_exact]
+    labels = [region_of(lam, x) for lam in lams]
+    want = np.bincount([label.outcome - 1 for label in labels], minlength=x.n_outcomes)
+    want_hits = sum(label.is_boundary for label in labels)
+    for view in batch_views(lams):
+        # tiles of 1 and 3 rows end mid-batch; the default tile holds it whole
+        for tile in (1, 3, _TILE_POINTS):
+            with mock.patch.object(simplex, "_TILE_POINTS", tile):
+                counts, boundary_hits = region_counts(view, x)
+            np.testing.assert_array_equal(counts, want)
+            assert boundary_hits == want_hits
 
 
 def test_classify_batch_resolves_a_rounded_tie_to_the_lowest_index():
@@ -230,6 +257,10 @@ TIED_6 = (
     [0.05, 0.1, 0.0, 0.25, 0.3, 0.3],
     [[0.05, 0.1, 0.0, 0.25, 0.3, 0.3], [0.1, 0.2, 0.0, 0.5, 0.1, 0.1]],
 )
+# outcomes 1 and 3 tie across outcome 2, whose ratio is larger: 0.5, 2.17, 0.5
+TIED_GAP = ([0.2, 0.3, 0.5], [[0.1, 0.65, 0.25]])
+# at N = 4 the tied outcome 3 is not the last one: 0.5, 1, 0.5, 4
+TIED_GAP_4 = ([0.2, 0.3, 0.4, 0.1], [[0.1, 0.3, 0.2, 0.4]])
 
 
 class TestRegionCounts:
@@ -237,9 +268,17 @@ class TestRegionCounts:
         "size",
         [0, 1, _TILE_POINTS - 1, _TILE_POINTS, _TILE_POINTS + 1, BLOCK_SIZE + 3],
     )
-    @pytest.mark.parametrize("state,points", [TIED_3, TIED_6])
+    @pytest.mark.parametrize(
+        "state,points", [TIED_3, TIED_6, TIED_GAP, TIED_GAP_4]
+    )
     def test_matches_the_per_point_classification(self, size, state, points):
         x = BarycentricState(state)
+        # each fixed point's label is region_of's lowest tied index
+        for point in points:
+            label = region_of(BarycentricState(point), x)
+            outcome, on_boundary = classify_batch(np.asarray([point]), x)
+            assert outcome[0] == label.outcome - 1
+            assert on_boundary[0] == label.is_boundary
         lams = tie_batch(points, size, seed=size)
         outcomes, on_boundary = classify_batch(lams, x)
         counts, boundary_hits = region_counts(lams, x)
@@ -376,7 +415,7 @@ def test_ratio_rule_is_scale_free():
         n = rng.integers(2, 7)
         lam = rng.dirichlet(np.ones(n))
         x = rng.dirichlet(np.ones(n))
-        ratios = _breaking_ratios(lam, x)
+        ratios = _breaking_ratios(lam[None, :], BarycentricState(x))[0][:, 0]
         scale = float(rng.uniform(0.01, 100.0))
         assert np.argmin(ratios) == np.argmin(scale * ratios)
 
