@@ -163,7 +163,11 @@ def _breaking_ratios(
     """The ratio rule of a (size, N) batch: its (N, size) ratios, one
     outcome per row and +inf where x_j = 0, and each point's tie bound,
     its minimal ratio widened by TIE_RTOL. Outcome j ties for a point
-    when its ratio is at most the bound."""
+    when its ratio is at most the bound.
+
+    A bound that is NaN, negative or infinite cannot rank its row (no
+    outcome would tie), so it raises FloatingPointError: such rows are a
+    fault of whatever produced them, not an invalid input."""
     xs = x.coords
     if lams.ndim != 2 or lams.shape[1] != xs.size:
         raise ValueError("batch shape does not match the state dimension")
@@ -174,6 +178,11 @@ def _breaking_ratios(
         else:
             ratios[j] = np.inf
     bound = ratios.min(axis=0)
+    if bound.size and not (bound.min() >= 0 and bound.max() < np.inf):
+        raise FloatingPointError(
+            "a row has a NaN, negative or infinite minimal ratio; "
+            "the ratio rule cannot rank it"
+        )
     bound *= 1.0 + TIE_RTOL
     return ratios, bound
 

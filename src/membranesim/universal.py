@@ -27,9 +27,11 @@ bincount over the 2**16 low masks gives a table, and each of the
 2**(n - 16) prefixes adds that table at its own index as an offset.
 No binomial enters the counts. Integer dot products turn them into
 per-k integer sums S_k. Each exact sum, over S_k / k here and over the
-binomial terms of the identities, is one integer numerator over one
-denominator, lcm(1..K), made into a single Fraction at the end. No
-float enters the enumeration or the reduction.
+binomial terms of the identities, is one integer numerator over
+lcm(1..K), made into a single Fraction at the end. An identity's
+integer terms come in one pass, each from the one before it by the
+ratio of consecutive binomials. No float enters the enumeration or the
+reduction.
 
 The kernel can also count masks by a field of `width` bits starting at
 `bit`. The theorem table uses that to serve every position of an n-cell
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -54,7 +57,7 @@ from .density import CellularMask
 #: about 1.5 ms, theorem_report(24) about 0.04 s (2 vCPU, numpy 2.4.6)
 MAX_ENUMERABLE_CELLS = 24
 #: largest n_max of the identity table; identity_report(600) takes about
-#: 0.45 s, the CLI run about 0.8 s (2 vCPU, Python 3.11)
+#: 0.23 s, the CLI run about 0.4-0.6 s (2 vCPU, Python 3.11)
 MAX_IDENTITY_N = 600
 #: mask bits counted once into the kernel's low table; 2**16 masks keep
 #: each int64 temporary at 512 KB, inside a core's L2 cache
@@ -208,24 +211,30 @@ def universal_average_abstract(n_cells: int, cells_in_complement: int) -> Fracti
     return _per_k_total(sums) / (2**n - 1)
 
 
-def _binomial_row(n: int) -> list[int]:
-    """C(n, 0), ..., C(n, n), each coefficient from the one before it."""
-    row = [1]
-    for k in range(n):
-        row.append(row[k] * (n - k) // (k + 1))
-    return row
+@lru_cache(maxsize=1)
+def _binomial_sums(n: int) -> tuple[Fraction, Fraction]:
+    """Exact sums of k C(n, k)/(k + 1) and of C(n, k)/(k + 1), k = 0..n,
+    each one integer numerator over L = lcm(1..n + 1). Term k + 1 of the
+    integers C(n, k) L/(k + 1) is term k times (n - k)/(k + 2), an exact
+    divide. The last n is cached: both identities at one n share a pass."""
+    denominator = term = lcm(*range(1, n + 2))
+    weighted = plain = 0
+    for k in range(n + 1):
+        weighted += k * term
+        plain += term
+        term = term * (n - k) // (k + 2)
+    return Fraction(weighted, denominator), Fraction(plain, denominator)
 
 
 def binomial_identity_a(n: int) -> tuple[Fraction, Fraction]:
     """Sum of k/(k+1) * C(n, k) versus its closed form (2**n (n-1) + 1)/(n+1).
 
-    The left side is an exact `_per_k_total`, term k placed at index
-    k + 1; the right side is instantiated independently. A mismatch
-    raises.
+    The left side is summed term by term in `_binomial_sums`; the right
+    side is instantiated independently. A mismatch raises.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    lhs = _per_k_total([0, *(k * c for k, c in enumerate(_binomial_row(n)))])
+    lhs = _binomial_sums(n)[0]
     rhs = Fraction((1 << n) * (n - 1) + 1, n + 1)
     if lhs != rhs:
         raise ArithmeticError(f"identity failed at n={n}: {lhs} != {rhs}")
@@ -236,7 +245,7 @@ def binomial_identity_b(n: int) -> tuple[Fraction, Fraction]:
     """Sum of 1/(k+1) * C(n, k) versus its closed form (2**(n+1) - 1)/(n+1)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    lhs = _per_k_total([0, *_binomial_row(n)])
+    lhs = _binomial_sums(n)[1]
     rhs = Fraction((1 << (n + 1)) - 1, n + 1)
     if lhs != rhs:
         raise ArithmeticError(f"identity failed at n={n}: {lhs} != {rhs}")
@@ -313,8 +322,8 @@ def recurrence_step_check(n: int, i: int) -> RecurrenceReport:
     closed_i = total * transition_of_uniform(n, i)
     closed_i1 = total * transition_of_uniform(n, i + 1)
     closed_diff = -Fraction(total, n)
-    binom_nm1 = -_per_k_total([0, *_binomial_row(n - 1)])
-    binom_n = -_per_k_total([0, *_binomial_row(n)])
+    binom_nm1 = -_binomial_sums(n - 1)[1]
+    binom_n = -_binomial_sums(n)[1]
     if difference == binom_nm1:
         convention = "n-1"
     elif difference == binom_n:

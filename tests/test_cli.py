@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from membranesim import cli, universal
+from membranesim import cli, density, universal
 from membranesim.cli import main
 
 
@@ -292,6 +292,25 @@ def test_a_key_error_inside_a_validated_run_is_a_runtime_failure(
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [-1e-17, float("nan"), float("inf")])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_sampler_row_the_ratio_rule_cannot_rank_is_a_runtime_failure(
+    bad, threads, tmp_path, monkeypatch, capsys
+):
+    def faulty_rays(self, rng, size):
+        rays = rng.standard_exponential((size, self.n_outcomes))
+        rays[size // 2] = bad  # every coordinate, so +inf leaves no finite ratio
+        return rays
+
+    monkeypatch.setattr(density.UniformDensity, "sample_rays", faulty_rays)
+    out = tmp_path / "est.csv"
+    args = ["simulate", "--state", "0.2,0.3,0.5", "--samples", "100000"]
+    args += ["--seed", "1", "--threads", threads, "--out", str(out)]
+    assert run_cli(args) == 3
+    assert "cannot rank" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, config",
     [
@@ -440,6 +459,23 @@ class TestIdentities:
         assert len(payload["rows"]) == 41
         assert all(r["equal_a"] and r["equal_b"] for r in payload["rows"])
         assert "yes" in capsys.readouterr().out
+
+    def test_a_failed_identity_exits_3_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real_sums = universal._binomial_sums
+
+        def off_at_the_last_row(n):
+            weighted, plain = real_sums(n)
+            if n == 5:
+                plain += Fraction(1, 60)  # 1/lcm(1..6)
+            return weighted, plain
+
+        monkeypatch.setattr(universal, "_binomial_sums", off_at_the_last_row)
+        out = tmp_path / "ids.json"
+        assert run_cli(["identities", "--n-max", "5", "--out", str(out)]) == 3
+        assert "identity failed at n=5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_n_max(self, capsys):
         assert run_cli(["identities", "--n-max", "-1"]) == 2

@@ -297,6 +297,31 @@ class TestRegionCounts:
             region_counts(np.zeros((size, 4)), BarycentricState([0.2, 0.3, 0.5]))
 
 
+# rows whose minimal ratio is negative, NaN or +inf: no outcome ties at
+# such a bound, so they used to fall to the last outcome
+UNRANKABLE_ROWS = {
+    "negative-first": [-1e-17, 0.5, 0.5],
+    "negative-middle": [0.5, -1e-17, 0.5],
+    "nan": [np.nan, 0.5, 0.5],
+    "infinite": [np.inf, np.inf, np.inf],
+}
+
+
+@pytest.mark.parametrize("row", UNRANKABLE_ROWS.values(), ids=UNRANKABLE_ROWS)
+class TestUnrankableRows:
+    x = BarycentricState([0.2, 0.3, 0.5])
+
+    def test_classify_batch_raises(self, row):
+        with pytest.raises(FloatingPointError, match="cannot rank"):
+            classify_batch(np.array([[0.2, 0.3, 0.5], row]), self.x)
+
+    def test_region_counts_raises_in_any_tile(self, row):
+        lams = np.tile([0.2, 0.3, 0.5], (_TILE_POINTS + 5, 1))
+        lams[_TILE_POINTS + 2] = row
+        with pytest.raises(FloatingPointError, match="cannot rank"):
+            region_counts(lams, self.x)
+
+
 # the breaking points of the pinned boundary stream: x ties three ways,
 # (0.4, 0.225, 0.375) ties outcomes 2 and 3
 PINNED_TIES = (

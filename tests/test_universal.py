@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -236,9 +236,44 @@ class TestBinomialIdentities:
         binomial_identity_b(n)
 
 
-def test_binomial_row_is_the_row_of_pascals_triangle():
-    for n in range(201):
-        assert universal._binomial_row(n) == [comb(n, k) for k in range(n + 1)]
+def binomial_oracle(n):
+    """Both identities' left sides term by term from math.comb."""
+    weighted = sum((Fraction(k * comb(n, k), k + 1) for k in range(n + 1)), Fraction(0))
+    plain = sum((Fraction(comb(n, k), k + 1) for k in range(n + 1)), Fraction(0))
+    return weighted, plain
+
+
+class TestBinomialSums:
+    def test_matches_the_term_by_term_oracle(self):
+        for n in range(201):
+            assert universal._binomial_sums(n) == binomial_oracle(n)
+
+    def test_alternating_calls_get_their_own_n(self):
+        # the cache keeps one n; a different n must never be served its sums
+        for n in (7, 8, 7, 7, 40, 8, 0, 40, 1):
+            assert universal._binomial_sums(n) == binomial_oracle(n)
+
+    def test_recurrence_binomial_fields_match_the_oracle(self):
+        for n in range(3, 15):
+            for i in sorted({1, n - 2}):
+                report = recurrence_step_check(n, i)
+                assert report.difference_binomial_nm1 == -binomial_oracle(n - 1)[1]
+                assert report.difference_binomial_n == -binomial_oracle(n)[1]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["a", "b"])
+    def test_a_sum_off_by_one_over_its_denominator_fails(self, which, monkeypatch):
+        real_sums = universal._binomial_sums
+
+        def off_by_one(n):
+            sums = list(real_sums(n))
+            sums[which] += Fraction(1, lcm(*range(1, n + 2)))
+            return tuple(sums)
+
+        monkeypatch.setattr(universal, "_binomial_sums", off_by_one)
+        identities = (binomial_identity_a, binomial_identity_b)
+        with pytest.raises(ArithmeticError, match="identity failed at n=5"):
+            identities[which](5)
+        identities[1 - which](5)  # the other identity reads the other sum
 
 
 class TestRecurrenceStep:
