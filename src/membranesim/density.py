@@ -30,6 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -56,11 +57,75 @@ MAX_APPROXIMATION_CELLS = 1 << 22
 #: most resolution ** (N - 1) cells of a grid density, each with a float64
 #: origin per axis and a weight
 MAX_GRID_CELLS = 1 << 22
+#: at most this many weights are drawn with one bucket and no guide table
+_FEW_WEIGHTS = 8
+#: how far weights may sum from 1, as `Generator.choice` allows
+_WEIGHT_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class NotAnalyticError(Exception):
     """The density has no closed-form region integral for this case;
     callers fall back to Monte Carlo estimation."""
+
+
+class _WeightedIndex:
+    """Draws of indices 0..len(p)-1 with probabilities `p` that equal
+    `Generator.choice(len(p), size, p=p)` value for value and leave the
+    generator in the same state.
+
+    `choice` takes cdf = p.cumsum() / its last entry, draws
+    u = rng.random(size) and returns #{k : cdf[k] <= u} by binary search.
+    Here the same count comes from a guide table built once (Chen and
+    Asau, 1974; Devroye, 1986, section III.2.4): K buckets, K the smallest
+    power of two >= len(p) so that u*K is exact, lo[b] = #{cdf <= b/K},
+    then one compare-and-add against the cdf entry, if any, strictly
+    inside u's bucket. Weights that put two entries strictly inside one
+    bucket (zero or crowded tiny weights) keep the cdf and draw with
+    `choice`'s own binary search. At most _FEW_WEIGHTS weights skip the
+    table and compare u with each entry. `p` is checked here, once, as
+    `choice` checks it on every call. The table holds two arrays of K
+    entries, K < 2 len(p).
+    """
+
+    def __init__(self, p):
+        p = np.array(p, dtype=np.float64)
+        # NaN fails both tests, an infinite weight the sum
+        if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= _WEIGHT_SUM_TOL):
+            raise ValueError("weights must be non-negative and sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        n = len(cdf)
+        self._cdf = cdf
+        self._buckets = 1 if n <= _FEW_WEIGHTS else 1 << (n - 1).bit_length()
+        cuts = np.arange(self._buckets + 1) / self._buckets
+        lo = self._lo = cdf.searchsorted(cuts[:-1], side="right")
+        # entries lo[b]..hi[b]-1 lie strictly inside bucket b
+        hi = cdf.searchsorted(cuts[1:], side="left")
+        if self._buckets == 1:
+            # few weights: u is compared with every entry inside (0, 1)
+            self._edge = cdf[lo[0] : hi[0]]
+        elif (hi - lo).max() <= 1:
+            # u is compared with the entry inside its bucket, or with 2,
+            # which no u reaches
+            self._edge = np.where(lo < hi, cdf[np.minimum(lo, n - 1)], 2.0)
+        else:
+            self._edge = None
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        if self._buckets == 1:
+            idx = np.full(size, self._lo[0])
+            for entry in self._edge:
+                idx += u >= entry
+            return idx
+        if self._edge is None:
+            return self._cdf.searchsorted(u, side="right")
+        # u*K is exact and non-negative, so the cast takes its floor
+        bucket = np.empty(size, dtype=np.intp)
+        np.multiply(u, self._buckets, out=bucket, casting="unsafe")
+        idx = self._lo.take(bucket)
+        idx += self._edge.take(bucket) <= u
+        return idx
 
 
 @dataclass(frozen=True)
@@ -186,7 +251,9 @@ class IntervalDensity(Density):
     endpoint converts exactly). The region integral of outcome 1 is the
     breakable length below x1 over the total length, computed in
     Fractions: an exact state gets a Fraction, a float state the float
-    nearest to the same rational, its x1 taken exactly.
+    nearest to the same rational, its x1 taken exactly. Sampling picks an
+    interval with weight float(hi) - float(lo), the draws that
+    `Generator.choice` would make, then a uniform point in it.
     """
 
     def __init__(self, intervals):
@@ -205,12 +272,18 @@ class IntervalDensity(Density):
         self.length = sum(hi - lo for lo, hi in ivals)
         self._los = np.array([float(lo) for lo, _ in ivals])
         self._lengths = np.array([float(hi) - float(lo) for lo, hi in ivals])
-        self._weights = self._lengths / self._lengths.sum()
+
+    @cached_property
+    def _pick(self) -> _WeightedIndex:
+        """Interval picks by float length, built on the first draw, so
+        that the exact region integrals never depend on how the
+        endpoints round to floats."""
+        return _WeightedIndex(self._lengths / self._lengths.sum())
 
     def sample_batch(self, rng, size):
-        idx = rng.choice(len(self._los), size=size, p=self._weights)
-        x1 = self._los[idx] + rng.random(size) * self._lengths[idx]
-        return np.column_stack([x1, 1.0 - x1])
+        idx = self._pick.draw(rng, size)
+        x1 = self._los.take(idx) + rng.random(size) * self._lengths.take(idx)
+        return _segment_points(x1)
 
     def region_probabilities(self, x):
         self._check_state(x)
@@ -241,9 +314,10 @@ class Cellular1DDensity(IntervalDensity):
     def sample_batch(self, rng, size):
         # equal cells: an integer cell draw, cheaper than the weighted choice
         n = self.mask.n_cells
-        cells = self._breakable_idx[rng.integers(0, len(self._breakable_idx), size)]
+        picks = rng.integers(0, len(self._breakable_idx), size)
+        cells = self._breakable_idx.take(picks)
         x1 = (cells + rng.random(size)) / n
-        return np.column_stack([x1, 1.0 - x1])
+        return _segment_points(x1)
 
 
 class DiracMixtureDensity(Density):
@@ -251,7 +325,8 @@ class DiracMixtureDensity(Density):
 
     Weights default to the uniform mixture 1/k (kept as Fractions so the
     region integrals stay exact); each draw returns one of the support
-    points verbatim.
+    points verbatim, picked by float weight with the draws that
+    `Generator.choice` would make.
     """
 
     def __init__(self, points, weights=None):
@@ -283,11 +358,10 @@ class DiracMixtureDensity(Density):
             weights = [w / total for w in weights]
         self.weights = tuple(weights)
         self._points_arr = np.array([p.coords for p in points])
-        self._weights_arr = np.array([float(w) for w in weights])
+        self._pick = _WeightedIndex([float(w) for w in weights])
 
     def sample_batch(self, rng, size):
-        idx = rng.choice(len(self.points), size=size, p=self._weights_arr)
-        return self._points_arr[idx]
+        return np.take(self._points_arr, self._pick.draw(rng, size), axis=0)
 
     def region_probabilities(self, x):
         self._check_state(x)
@@ -422,7 +496,7 @@ class BallComplement(ControlRegion):
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         radii = self.radius * rng.random(size) ** (1.0 / d)
         direction *= radii[:, None]
-        direction += self._centers_z[idx]
+        direction += np.take(self._centers_z, idx, axis=0)
         ys = from_internal_batch(direction, self.n_outcomes)
         return np.clip(ys, 0.0, None, out=ys)
 
@@ -535,6 +609,11 @@ class CellularGridDensity(Density):
     inside the simplex that classify to the outcome, over all such
     points. They are approximations meant for discretisation demos, not
     for exactness claims.
+
+    Sampling picks a live cell by weight, with the draws that
+    `Generator.choice` would make, and a uniform point in its box,
+    drawing again for the points that fall outside the simplex, for at
+    most MAX_REJECTION_ROUNDS rounds in all.
     """
 
     def __init__(self, n_outcomes: int, resolution: int, mask=None):
@@ -563,9 +642,10 @@ class CellularGridDensity(Density):
             if not breakable.any():
                 raise ValueError("a mask needs at least one breakable cell")
         self.mask = breakable
-        # cell c sits at (c % r, c // r % r, ...) along the axes
+        # cell c sits at (c % r, c // r % r, ...) along the axes; one row of
+        # origins per axis
         index = np.unravel_index(np.arange(n_cells), (resolution,) * d, order="F")
-        self._origins = lo + np.stack(index, axis=1) * self._widths
+        self._origins = lo[:, None] + np.stack(index) * self._widths[:, None]
         side = max(2, math.ceil(GRID_SUBSAMPLES ** (1.0 / d)))
         self._lattice = _unit_lattice((np.arange(side) + 0.5) / side, d)
         corners = _unit_lattice([0, 1], d)
@@ -583,12 +663,12 @@ class CellularGridDensity(Density):
         if total <= 0.0:
             raise ValueError("no breakable cell intersects the simplex")
         self._cells = np.flatnonzero(breakable & (self._weights > 0.0))
-        self._probs = self._weights[self._cells] / total
+        self._pick = _WeightedIndex(self._weights[self._cells] / total)
 
     def _cell_points(self, rel: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Barycentric coordinates, shape (len(cells), len(rel), N), of
         the points at unit-box offsets `rel` within each of `cells`."""
-        z = self._origins[cells][:, None, :] + rel * self._widths
+        z = self._origins[:, cells].T[:, None, :] + rel * self._widths
         return from_internal_batch(z, self.n_outcomes)
 
     def _cell_chunks(self, rel, cells):
@@ -600,19 +680,28 @@ class CellularGridDensity(Density):
             yield part, self._cell_points(rel, part)
 
     def sample_batch(self, rng, size):
-        chosen = self._cells[rng.choice(len(self._cells), size=size, p=self._probs)]
-        out = np.empty((size, self.n_outcomes))
-        pending = np.arange(size)
-        for _ in range(MAX_REJECTION_ROUNDS):
-            rel = rng.random((len(pending), self.n_outcomes - 1))
-            z = self._origins[chosen[pending]] + rel * self._widths
-            ys = from_internal_batch(z, self.n_outcomes)
-            ok = ys.min(axis=1) >= 0.0
+        chosen = self._cells.take(self._pick.draw(rng, size))
+        out = self._box_points(rng, chosen)
+        pending = np.flatnonzero(~_on_simplex(out))
+        rounds = 1
+        while len(pending):
+            if rounds == MAX_REJECTION_ROUNDS:
+                raise RuntimeError("grid cell rejection sampling failed")
+            rounds += 1
+            ys = self._box_points(rng, chosen.take(pending))
+            ok = _on_simplex(ys)
             out[pending[ok]] = ys[ok]
             pending = pending[~ok]
-            if len(pending) == 0:
-                return out
-        raise RuntimeError("grid cell rejection sampling failed")
+        return out
+
+    def _box_points(self, rng, cells: np.ndarray) -> np.ndarray:
+        """One uniform point in the box of each of `cells`, as barycentric
+        rows, with no simplex check."""
+        z = rng.random((len(cells), self.n_outcomes - 1))
+        z *= self._widths
+        for axis, origins in enumerate(self._origins):
+            z[:, axis] += origins.take(cells)
+        return from_internal_batch(z, self.n_outcomes)
 
     def region_probabilities(self, x):
         self._check_state(x)
@@ -621,6 +710,26 @@ class CellularGridDensity(Density):
             hits += region_counts(ys[ys.min(axis=2) >= 0.0], x)[0]
         inside = int(hits.sum())
         return [int(h) / inside for h in hits]
+
+
+def _segment_points(x1: np.ndarray) -> np.ndarray:
+    """Rows (x1, 1 - x1) of the two-outcome segment, written into one new
+    array: `np.column_stack` would add a temporary for 1 - x1 and copy
+    both columns, and the freed temporaries fault their pages in again
+    on the next block."""
+    out = np.empty((len(x1), 2))
+    out[:, 0] = x1
+    np.subtract(1.0, x1, out=out[:, 1])
+    return out
+
+
+def _on_simplex(ys: np.ndarray) -> np.ndarray:
+    """Mask of the rows with no negative coordinate, one column at a time:
+    a min over each short row costs about ten times as much."""
+    ok = ys[:, 0] >= 0.0
+    for column in ys.T[1:]:
+        ok &= column >= 0.0
+    return ok
 
 
 def _unit_lattice(axis, d: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density
+from .density import Density, _segment_points
 from .simplex import BarycentricState, region_counts
 
 # still importable from here: perfbench/spans.py wraps montecarlo.classify_batch
@@ -193,8 +193,7 @@ class _RandomMaskDensity(Density):
             step = high * np.uint8(width)
             cell += step
             bits >>= step
-        pos = (cell + u) / self.n_cells
-        return np.column_stack([pos, 1.0 - pos])
+        return _segment_points((cell + u) / self.n_cells)
 
 
 def estimate(

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -211,19 +210,32 @@ def universal_average_abstract(n_cells: int, cells_in_complement: int) -> Fracti
     return _per_k_total(sums) / (2**n - 1)
 
 
-@lru_cache(maxsize=1)
+#: the last n summed, its denominator lcm(1..n + 1) and its two sums
+_last_sums = (0, 1, (Fraction(0), Fraction(1)))
+
+
 def _binomial_sums(n: int) -> tuple[Fraction, Fraction]:
     """Exact sums of k C(n, k)/(k + 1) and of C(n, k)/(k + 1), k = 0..n,
     each one integer numerator over L = lcm(1..n + 1). Term k + 1 of the
     integers C(n, k) L/(k + 1) is term k times (n - k)/(k + 2), an exact
-    divide. The last n is cached: both identities at one n share a pass."""
-    denominator = term = lcm(*range(1, n + 2))
+    divide. The last n is kept, so both identities at one n share a pass,
+    and so is its L, which a larger n grows: identity_report walks n
+    upward and adds one factor per n."""
+    global _last_sums
+    last_n, denominator, sums = _last_sums
+    if n == last_n:
+        return sums
+    if n < last_n:
+        last_n, denominator = 0, 1
+    denominator = term = lcm(denominator, *range(last_n + 2, n + 2))
     weighted = plain = 0
     for k in range(n + 1):
         weighted += k * term
         plain += term
         term = term * (n - k) // (k + 2)
-    return Fraction(weighted, denominator), Fraction(plain, denominator)
+    sums = Fraction(weighted, denominator), Fraction(plain, denominator)
+    _last_sums = (n, denominator, sums)
+    return sums
 
 
 def binomial_identity_a(n: int) -> tuple[Fraction, Fraction]:

@@ -35,6 +35,7 @@ from membranesim.simplex import (
     internal_basis,
     region_counts,
     region_of,
+    to_internal_coords,
 )
 
 
@@ -486,12 +487,16 @@ class GridOracle:
         return float((self.points(cell, self.lattice).min(axis=1) >= 0.0).mean())
 
     def sample_batch(self, rng, size):
+        """Draws as `CellularGridDensity.sample_batch`; `self.rounds` is
+        the number of rejection rounds they took."""
         cells = np.flatnonzero(self.mask & (self.weights > 0.0))
         probs = self.weights[cells] / self.total
         chosen = cells[rng.choice(len(cells), size=size, p=probs)]
         out = np.empty((size, self.n))
         pending = np.arange(size)
+        self.rounds = 0
         while len(pending):
+            self.rounds += 1
             rel = rng.random((len(pending), self.n - 1))
             origins = np.array([self.origin(c) for c in chosen[pending]])
             ys = from_internal_batch(origins + rel * self.widths, self.n)
@@ -512,13 +517,15 @@ class GridOracle:
         return attributed / total
 
 
-GRID_CASES = [(2, 5), (2, 16), (3, 8), (3, 32), (4, 6)]
+#: (3, 16) is the benchmark's grid, drawn as one whole block
+GRID_CASES = [(2, 5), (2, 16), (3, 8), (3, 16), (3, 32), (4, 6)]
 
 
 class TestCellularGridOracle:
     @pytest.mark.parametrize("n,resolution", GRID_CASES)
     @pytest.mark.parametrize("masked", [False, True])
     def test_grid_matches_the_per_cell_oracle(self, n, resolution, masked):
+        size = BLOCK_SIZE if (n, resolution) == (3, 16) else 3000
         rng = np.random.default_rng(resolution * n)
         mask = None
         if masked:
@@ -527,14 +534,26 @@ class TestCellularGridOracle:
         grid = CellularGridDensity(n, resolution, mask)
         oracle = GridOracle(n, resolution, mask)
         assert grid._weights.tobytes() == oracle.weights.tobytes()
-        draws = grid.sample_batch(np.random.default_rng(9), 3000)
-        expected = oracle.sample_batch(np.random.default_rng(9), 3000)
+        draws = grid.sample_batch(np.random.default_rng(9), size)
+        expected = oracle.sample_batch(np.random.default_rng(9), size)
         assert draws.tobytes() == expected.tobytes()
         x = random_state(rng, n)
         for outcome in range(1, n + 1):
             assert grid.region_probability(x, outcome) == pytest.approx(
                 oracle.region_probability(x, outcome), abs=1e-12
             )
+
+    def test_rejection_rounds_are_counted_from_the_first(self, monkeypatch):
+        grid = CellularGridDensity(3, 8)
+        oracle = GridOracle(3, 8)
+        expected = oracle.sample_batch(np.random.default_rng(9), 3000)
+        assert oracle.rounds >= 2
+        monkeypatch.setattr(density_module, "MAX_REJECTION_ROUNDS", oracle.rounds)
+        draws = grid.sample_batch(np.random.default_rng(9), 3000)
+        assert draws.tobytes() == expected.tobytes()
+        monkeypatch.setattr(density_module, "MAX_REJECTION_ROUNDS", oracle.rounds - 1)
+        with pytest.raises(RuntimeError, match="rejection sampling failed"):
+            grid.sample_batch(np.random.default_rng(9), 3000)
 
     def test_results_do_not_depend_on_the_chunk_size(self, monkeypatch):
         mask = np.random.default_rng(2).random(100) < 0.6
@@ -545,6 +564,251 @@ class TestCellularGridOracle:
         chunked = CellularGridDensity(3, 10, mask)
         assert chunked._weights.tobytes() == whole._weights.tobytes()
         assert chunked.region_probabilities(x) == whole.region_probabilities(x)
+
+
+def weight_cases():
+    """Weight vectors for the weighted-index oracle: one weight, few
+    weights and many, zero weights first, in the middle and last, weights
+    of 1e-12, p**8-skewed weights, near-even weights, a long run of zero
+    weights and crowded tiny weights."""
+    rng = np.random.default_rng(2024)
+    cases = {"1": np.ones(1)}
+    for k in (2, 3, 8, 9, 144, 1000, 4096):
+        p = rng.random(k)
+        cases[f"{k}"] = p
+        cases[f"{k}-skewed"] = p**8
+        for where, at in (("first", 0), ("middle", k // 2), ("last", k - 1)):
+            zeroed = p.copy()
+            zeroed[at] = 0.0
+            cases[f"{k}-zero-{where}"] = zeroed
+        tiny = p.copy()
+        tiny[::2] = 1e-12
+        cases[f"{k}-tiny"] = tiny
+    # near-even weights put at most one cdf entry strictly inside each
+    # bucket: the one-pass table; a zero weight first or last keeps it so
+    for k in (9, 144, 3000):
+        even = 1.0 + 0.1 * rng.random(k)
+        cases[f"{k}-even"] = even
+        for where, at in (("first", 0), ("last", k - 1)):
+            zeroed = even.copy()
+            zeroed[at] = 0.0
+            cases[f"{k}-even-zero-{where}"] = zeroed
+    # 998 equal cdf entries of 1/3 inside one bucket at any bucket count
+    cases["1000-zero-run"] = np.array([1.0] + [0.0] * 997 + [1.0, 1.0])
+    # the first 4095 cdf entries crowd the first bucket
+    cases["4096-crowded"] = np.array([1e-20] * 4095 + [1.0])
+    return {name: p / p.sum() for name, p in cases.items()}
+
+
+WEIGHT_CASES = weight_cases()
+
+
+class TestWeightedIndex:
+    @pytest.mark.parametrize("name", list(WEIGHT_CASES))
+    def test_draws_equal_generator_choice(self, name):
+        p = WEIGHT_CASES[name]
+        pick = density_module._WeightedIndex(p)
+        for seed, size in enumerate((0, 1, 3000, BLOCK_SIZE)):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            idx = pick.draw(rng, size)
+            expected = reference.choice(len(p), size, p=p)
+            assert idx.dtype == expected.dtype
+            assert idx.tobytes() == expected.tobytes()
+            # the generator is left where choice leaves it
+            assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.array([0.25, 0.25, 0.0, 0.5]),
+            np.array([1, 0, 3, 0, 2, 2, 0, 4, 1, 1, 0, 2] * 2) / 32,
+            WEIGHT_CASES["144"],
+            WEIGHT_CASES["4096-skewed"],
+            WEIGHT_CASES["1000-zero-run"],
+            WEIGHT_CASES["3000-even-zero-first"],
+        ],
+        ids=[
+            "4 dyadic",
+            "24 dyadic",
+            "144",
+            "4096 skewed",
+            "1000 zero run",
+            "3000 even",
+        ],
+    )
+    def test_a_draw_equal_to_a_cdf_entry_or_a_bucket_edge_counts_it(self, p):
+        # choice returns cdf.searchsorted(u, side="right"); draws that hit
+        # a cdf entry or a bucket edge exactly, and their neighbours, must
+        # count the same
+        class FixedDraws:
+            def random(self, size):
+                return u
+
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        pick = density_module._WeightedIndex(p)
+        edges = np.arange(pick._buckets) / pick._buckets
+        exact = np.concatenate([cdf[:-1], edges])
+        u = np.concatenate(
+            [exact, np.nextafter(exact, 1.0), np.nextafter(exact, -1.0)]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        idx = pick.draw(FixedDraws(), len(u))
+        assert np.array_equal(idx, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize(
+        "p", [[math.nan, 1.0], [0.6, -0.1, 0.5], [0.5, 0.4], [math.inf, 1.0]]
+    )
+    def test_weights_choice_would_reject_are_rejected_once(self, p):
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            density_module._WeightedIndex(p)
+
+    def test_intervals_of_zero_float_length_integrate_but_do_not_sample(self):
+        # distinct Fractions, one float: the exact integrals hold, and the
+        # first draw fails as choice failed on every draw
+        tiny = (Fraction(1, 10), Fraction(1, 10) + Fraction(3, 10**30))
+        rho = IntervalDensity([tiny])
+        x1 = tiny[0] + Fraction(1, 10**30)
+        x = BarycentricState([x1, 1 - x1])
+        assert rho.region_probabilities(x) == [Fraction(1, 3), Fraction(2, 3)]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="sum to 1"):
+            rho.sample_batch(np.random.default_rng(0), 1)
+
+    def test_the_table_has_one_pass_or_none(self):
+        few = density_module._WeightedIndex(WEIGHT_CASES["8-zero-middle"])
+        assert few._buckets == 1
+        # the benchmark grid's 144 live cells: 256 buckets, one pass
+        grid = CellularGridDensity(3, 16)._pick
+        assert grid._buckets == 256 and grid._edge is not None
+        for name, p in WEIGHT_CASES.items():
+            if "-even" in name:
+                assert density_module._WeightedIndex(p)._edge is not None
+        # equal or crowded cdf entries share a bucket: binary search
+        for name in ("1000-zero-run", "4096-crowded", "4096-skewed"):
+            assert density_module._WeightedIndex(WEIGHT_CASES[name])._edge is None
+        for p in WEIGHT_CASES.values():
+            pick = density_module._WeightedIndex(p)
+            assert pick._buckets < 2 * len(p)
+            bound = max(pick._buckets, density_module._FEW_WEIGHTS)
+            assert pick._edge is None or len(pick._edge) <= bound
+
+
+def dirac_oracle(rho, rng, size):
+    """The Dirac mixture sampler through `Generator.choice` and a row gather."""
+    points = np.array([p.coords for p in rho.points])
+    weights = np.array([float(w) for w in rho.weights])
+    return points[rng.choice(len(points), size=size, p=weights)]
+
+
+def interval_oracle(intervals, rng, size):
+    """The interval sampler through `Generator.choice` and fancy indexing."""
+    los = np.array([float(lo) for lo, _ in intervals])
+    lengths = np.array([float(hi) - float(lo) for lo, hi in intervals])
+    idx = rng.choice(len(los), size=size, p=lengths / lengths.sum())
+    x1 = los[idx] + rng.random(size) * lengths[idx]
+    return np.column_stack([x1, 1.0 - x1])
+
+
+def cellular_oracle(rho, rng, size):
+    """The cellular sampler with a fancy-indexed cell draw and column_stack."""
+    breakable = np.flatnonzero(rho.mask.breakable)
+    cells = breakable[rng.integers(0, len(breakable), size)]
+    x1 = (cells + rng.random(size)) / rho.mask.n_cells
+    return np.column_stack([x1, 1.0 - x1])
+
+
+def ball_oracle(control, rng, size):
+    """The ball sampler with its centres gathered by fancy indexing."""
+    d = control.n_outcomes - 1
+    centers_z = np.array([to_internal_coords(c) for c in control.centers])
+    idx = rng.integers(0, len(control.centers), size)
+    direction = rng.normal(size=(size, d))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radii = control.radius * rng.random(size) ** (1.0 / d)
+    direction *= radii[:, None]
+    direction += centers_z[idx]
+    ys = from_internal_batch(direction, control.n_outcomes)
+    return np.clip(ys, 0.0, None, out=ys)
+
+
+def many_intervals():
+    edges = np.sort(np.random.default_rng(5).random(40))
+    return IntervalDensity(list(zip(edges[::2], edges[1::2])))
+
+
+def many_points():
+    rng = np.random.default_rng(6)
+    weights = rng.random(50)
+    weights[[0, 25, 49]] = 0.0
+    points = [BarycentricState(p) for p in rng.dirichlet(np.ones(4), 50)]
+    return DiracMixtureDensity(points, list(weights))
+
+
+DIRAC_3 = ([0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6])
+INTERVALS_SPEC = {
+    "type": "truncated-uniform",
+    "epsilon": 0.6,
+    "control": {"type": "intervals", "breakable": [[0, 0.1], [0.3, 0.35], [0.55, 1]]},
+}
+BALL_CASES = [
+    ([[0.3, 0.7], [0.6, 0.4]], 0.2),
+    ([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]], 0.1),
+    ([[0.4, 0.2, 0.2, 0.2], [0.2, 0.2, 0.2, 0.4]], 0.05),
+    ([[0.3, 0.1, 0.2, 0.1, 0.1, 0.2], [1 / 6] * 6], 0.001),
+]
+SAMPLE_SIZES = [0, 1, 3000, BLOCK_SIZE]
+
+
+class TestSamplerReplay:
+    """Each weighted or gathered sampler against a replay of its draws."""
+
+    @pytest.mark.parametrize("size", SAMPLE_SIZES)
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            DiracMixtureDensity(
+                [BarycentricState(p) for p in DIRAC_3],
+                [5, 3, 2],
+            ),
+            many_points(),
+        ],
+        ids=["3 points", "50 points"],
+    )
+    def test_dirac(self, rho, size):
+        draws = rho.sample_batch(np.random.default_rng(size), size)
+        expected = dirac_oracle(rho, np.random.default_rng(size), size)
+        assert draws.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", SAMPLE_SIZES)
+    @pytest.mark.parametrize(
+        "rho",
+        [density_from_spec(INTERVALS_SPEC, 2), many_intervals()],
+        ids=["intervals truncation", "20 intervals"],
+    )
+    def test_intervals(self, rho, size):
+        intervals = zone_of(rho)
+        draws = rho.sample_batch(np.random.default_rng(size), size)
+        expected = interval_oracle(intervals, np.random.default_rng(size), size)
+        assert draws.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", SAMPLE_SIZES)
+    @pytest.mark.parametrize("mask", ["bubbuub", "bub" * 40])
+    def test_cellular(self, mask, size):
+        rho = Cellular1DDensity(CellularMask.from_string(mask))
+        draws = rho.sample_batch(np.random.default_rng(size), size)
+        expected = cellular_oracle(rho, np.random.default_rng(size), size)
+        assert draws.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", SAMPLE_SIZES)
+    @pytest.mark.parametrize(
+        "centers,epsilon", BALL_CASES, ids=["N=2", "N=3", "N=4", "N=6"]
+    )
+    def test_balls(self, centers, epsilon, size):
+        control = BallComplement([BarycentricState(c) for c in centers], epsilon)
+        rho = TruncatedUniformDensity(control)
+        draws = rho.sample_batch(np.random.default_rng(size), size)
+        expected = ball_oracle(control, np.random.default_rng(size), size)
+        assert draws.tobytes() == expected.tobytes()
 
 
 class TestDensitySpec:

@@ -249,8 +249,9 @@ class TestBinomialSums:
             assert universal._binomial_sums(n) == binomial_oracle(n)
 
     def test_alternating_calls_get_their_own_n(self):
-        # the cache keeps one n; a different n must never be served its sums
-        for n in (7, 8, 7, 7, 40, 8, 0, 40, 1):
+        # the cache keeps one n and its denominator, grown for a larger n
+        # and restarted for a smaller one; no n may be served another's
+        for n in (7, 8, 7, 7, 40, 41, 8, 0, 40, 1, 0, 0, 2):
             assert universal._binomial_sums(n) == binomial_oracle(n)
 
     def test_recurrence_binomial_fields_match_the_oracle(self):
