@@ -19,7 +19,8 @@ Identical configuration and seed produce byte-identical output files;
 JSON reports carry a schema_version field, floats are written with 17
 significant digits, a missing value as null (an empty CSV field), and
 rationals as `str` writes a Fraction: "p/q", or the integer "p" when the
-value is integral.
+value is integral. The `robustness --method mc` JSON also carries the
+sweep's stream_version.
 
 Exit status: 0 on success, 2 when the configuration does not validate,
 3 when a validated run fails.
@@ -38,7 +39,7 @@ from fractions import Fraction
 
 from .density import cellular_approximation, density_from_spec
 from .montecarlo import estimate
-from .robustness import dirac_limit_demo, robustness_sweep
+from .robustness import SWEEP_STREAM_VERSION, dirac_limit_demo, robustness_sweep
 from .simplex import BarycentricState
 from .universal import (
     identity_report,
@@ -251,9 +252,11 @@ def _cmd_robustness(args):
         f"({'exact' if report.epsilon_tilde_exact else 'lower bound'})"
     )
     for row in rows:
+        error = row.get("standard_error")
         print(
             f"epsilon={row['epsilon']:.6g}: measured={row['measured']:.6g} "
-            f"predicted={row['predicted']:.6g}"
+            + ("" if error is None else f"standard_error={error:.3g} ")
+            + f"predicted={row['predicted']:.6g}"
         )
     payload = dict(
         outcome=report.outcome,
@@ -262,6 +265,8 @@ def _cmd_robustness(args):
         method=report.method,
         results=rows,
     )
+    if report.method == "mc":
+        payload["stream_version"] = SWEEP_STREAM_VERSION
     return payload, rows
 
 

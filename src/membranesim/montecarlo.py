@@ -11,7 +11,10 @@ rule never depends on the worker layout, so a run partitioned over k
 workers reproduces the single-threaded counts bit for bit. The same
 rule extends downward: callers that need several independent estimates
 from one seed pass SeedSequence(seed, spawn_key=(tag,)) instead of an
-integer.
+integer. A caller comparing two states passes the second as `paired`:
+each draw is then classified against both (common random numbers), so
+the difference of their probabilities carries only the noise of the
+draws whose outcome moves.
 """
 
 from __future__ import annotations
@@ -152,6 +155,53 @@ class TransitionEstimate:
         ]
 
 
+@dataclass(frozen=True)
+class PairedEstimate:
+    """Collapse counts of two states from one set of draws.
+
+    `joint[i, j]` counts the draws with outcome i + 1 under the first
+    state and j + 1 under the second; `first` and `second` are its row
+    and column sums as `TransitionEstimate`s, each with its own state's
+    boundary hits.
+    """
+
+    first: TransitionEstimate
+    second: TransitionEstimate
+    joint: np.ndarray
+
+    @classmethod
+    def from_joint(
+        cls, joint: np.ndarray, boundary_hits, n_samples: int
+    ) -> "PairedEstimate":
+        joint = np.array(joint, dtype=np.int64)
+        joint.flags.writeable = False
+        hits_first, hits_second = boundary_hits
+        return cls(
+            first=TransitionEstimate.from_counts(
+                joint.sum(axis=1), hits_first, n_samples
+            ),
+            second=TransitionEstimate.from_counts(
+                joint.sum(axis=0), hits_second, n_samples
+            ),
+            joint=joint,
+        )
+
+    def difference(self, outcome: int) -> tuple[float, float]:
+        """P_second - P_first for 1-based `outcome`, and its paired
+        standard error sqrt(((n10 + n01)/n - d**2)/n), where n10 draws
+        leave the outcome's region when the state moves and n01 enter it.
+        """
+        if not 1 <= outcome <= self.first.n_outcomes:
+            raise ValueError(f"outcome must be in 1..{self.first.n_outcomes}")
+        n = self.first.n_samples
+        i = outcome - 1
+        stay = self.joint[i, i]
+        n10 = int(self.joint[i].sum() - stay)
+        n01 = int(self.joint[:, i].sum() - stay)
+        d = (n01 - n10) / n
+        return d, math.sqrt(max((n10 + n01) / n - d * d, 0.0) / n)
+
+
 class _RandomMaskDensity(Density):
     """Breaking points of the two-outcome segment under a cellular
     structure drawn afresh for every point, uniformly among the
@@ -202,7 +252,9 @@ def estimate(
     n_samples: int,
     seed,
     threads: int = 1,
-) -> TransitionEstimate:
+    *,
+    paired: BarycentricState | None = None,
+) -> TransitionEstimate | PairedEstimate:
     """Estimate the collapse probabilities of state `x` under density `rho`.
 
     Each sample draws a breaking point from `rho` and classifies its
@@ -210,6 +262,10 @@ def estimate(
     `boundary_hits`. Blocks draw through `rho.sample_rays`, whose rows
     are positive multiples of the points, and `region_counts` counts
     each block tile by tile.
+    With a second state `paired`, each block is still drawn once, each
+    tile is classified against both states, and the result is a
+    `PairedEstimate` built from the merged joint counts; its `first`
+    counts equal those of the call without `paired`.
     Blocks run on at most `threads` workers, and on no more than the CPU
     count. Deterministic given (x, rho, n_samples, seed), whatever the
     thread count; `seed` may not be None, which would draw fresh entropy
@@ -219,6 +275,8 @@ def estimate(
         raise ValueError("need at least one sample")
     if x.n_outcomes != rho.n_outcomes:
         raise ValueError("state dimension does not match the density")
+    if paired is not None and paired.n_outcomes != rho.n_outcomes:
+        raise ValueError("paired state dimension does not match the density")
     if seed is None:
         raise ValueError("estimation needs a seed")
     if threads < 1:
@@ -227,7 +285,8 @@ def estimate(
     sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
 
     def block(b: int):
-        return region_counts(rho.sample_rays(substream(seed, b), sizes[b]), x)
+        rays = rho.sample_rays(substream(seed, b), sizes[b])
+        return region_counts(rays, x, paired)
 
     # an executor starts one OS thread per block while none is idle
     workers = min(threads, len(sizes), os.cpu_count() or 1)
@@ -238,6 +297,8 @@ def estimate(
         results = [block(b) for b in range(len(sizes))]
     counts = np.sum([c for c, _ in results], axis=0, dtype=np.int64)
     boundary = sum(hits for _, hits in results)
+    if paired is not None:
+        return PairedEstimate.from_joint(counts, boundary, n_samples)
     return TransitionEstimate.from_counts(counts, boundary, n_samples)
 
 

@@ -17,6 +17,12 @@ zone fans out to the simplex corners, and reported thresholds are
 centroid-specific lower bounds; sweeps then run on the Monte Carlo
 path.
 
+The Monte Carlo path draws each epsilon's breaking points once and
+classifies every draw against both states (common random numbers), so
+only the draws in the swept zone carry the difference, and the reported
+standard error is the paired one of that difference. Its stream is
+version SWEEP_STREAM_VERSION.
+
 Driving epsilon to zero instead, with ball-shaped breakable zones
 around chosen points, concentrates the density on those points and the
 measurement becomes a mixture of deterministic collapses.
@@ -36,8 +42,13 @@ from .density import (
     UniformDensity,
     truncate,
 )
-from .montecarlo import estimate, standard_error
+from .montecarlo import estimate
 from .simplex import SUM_TOL, BarycentricState
+
+#: version of the Monte Carlo sweep's random stream: 2 since each epsilon
+#: draws one stream, spawn key (index, 0), for both states. Version 1,
+#: every earlier stream, carries no version field.
+SWEEP_STREAM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -55,16 +66,21 @@ class RobustnessReport:
     method: str
 
     def rows(self) -> list[dict]:
+        """One row per epsilon; Monte Carlo rows also carry the measured
+        value's standard error."""
         out = []
-        for eps, meas, pred in zip(self.epsilon_grid, self.measured, self.predicted):
-            out.append(
-                {
-                    "epsilon": eps,
-                    "measured": meas,
-                    "predicted": pred,
-                    "ratio": meas / pred if pred else None,
-                }
-            )
+        for eps, meas, pred, err in zip(
+            self.epsilon_grid, self.measured, self.predicted, self.standard_errors
+        ):
+            row = {
+                "epsilon": eps,
+                "measured": meas,
+                "predicted": pred,
+                "ratio": meas / pred if pred else None,
+            }
+            if self.method == "mc":
+                row["standard_error"] = err
+            out.append(row)
         return out
 
 
@@ -96,11 +112,13 @@ def robustness_sweep(
 
     The control region is the centroid neighbourhood; the region for
     every epsilon is built, and so validated, before any sampling. The
-    analytic path needs two outcomes; the Monte Carlo path needs a seed,
-    runs on `threads` workers and reports the combined standard error of
-    each measured value. A zero prediction has ratio None. The report
-    flags the threshold epsilon where the scaling law starts to hold:
-    exact for two outcomes, a lower bound otherwise.
+    analytic path needs two outcomes. The Monte Carlo path needs a seed
+    and runs on `threads` workers: for each epsilon, one `estimate` call
+    draws `n_samples` points from SeedSequence(seed, spawn_key=(idx, 0))
+    and classifies each against both states, and the report carries the
+    paired standard error of each measured value. A zero prediction has
+    ratio None. The report flags the threshold epsilon where the scaling
+    law starts to hold: exact for two outcomes, a lower bound otherwise.
     """
     n = x.n_outcomes
     if not 1 <= outcome <= n:
@@ -124,20 +142,13 @@ def robustness_sweep(
         if method == "analytic":
             p_a = float(density.region_probability(x, outcome))
             p_b = float(density.region_probability(x_moved, outcome))
+            change = p_b - p_a
             err = 0.0
         else:
-            seq_a = np.random.SeedSequence(seed, spawn_key=(idx, 0))
-            seq_b = np.random.SeedSequence(seed, spawn_key=(idx, 1))
-            est_a = estimate(x, density, n_samples, seq_a, threads)
-            est_b = estimate(x_moved, density, n_samples, seq_b, threads)
-            p_a = float(est_a.probabilities[outcome - 1])
-            p_b = float(est_b.probabilities[outcome - 1])
-            err = float(
-                np.hypot(
-                    standard_error(p_a, n_samples), standard_error(p_b, n_samples)
-                )
-            )
-        measured.append(abs(p_b - p_a))
+            seq = np.random.SeedSequence(seed, spawn_key=(idx, 0))
+            est = estimate(x, density, n_samples, seq, threads, paired=x_moved)
+            change, err = est.difference(outcome)
+        measured.append(abs(change))
         predicted.append(abs(delta_i) / eps)
         errors.append(err)
     return RobustnessReport(

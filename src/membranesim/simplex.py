@@ -220,7 +220,9 @@ def classify_batch(
     return n_claimed.astype(np.intp), on_boundary
 
 
-def region_counts(lams: np.ndarray, x: BarycentricState) -> tuple[np.ndarray, int]:
+def region_counts(
+    lams: np.ndarray, x: BarycentricState, paired: BarycentricState | None = None
+) -> tuple[np.ndarray, int] | tuple[np.ndarray, np.ndarray]:
     """Outcome counts of a (size, N) batch and its number of boundary ties.
 
     As in `classify_batch`, a row may be any positive multiple of a point.
@@ -231,18 +233,39 @@ def region_counts(lams: np.ndarray, x: BarycentricState) -> tuple[np.ndarray, in
     the remaining rows. Its temporaries stay one slice long whatever
     `size` is. Counts are sums over rows, so they do not depend on the
     slice length.
+
+    With a second state `paired`, each slice is also classified against
+    it while the slice is in cache, and the result is (joint, hits):
+    joint[i, j] counts the rows with outcome i under `x` and j under
+    `paired` (int64, N x N), and hits holds the two states' boundary
+    counts. Only rows whose two outcomes differ are gathered and
+    bincounted; each diagonal entry is its outcome's count under `x`
+    less the rest of its row.
     """
     n = x.n_outcomes
     counts = np.zeros(n, dtype=np.int64)
-    boundary_hits = 0
+    off_diagonal = np.zeros(n * n, dtype=np.int64)
+    boundary_hits = paired_hits = 0
     # one slice even when the batch is empty, so classify_batch checks its shape
     for start in range(0, max(len(lams), 1), _TILE_POINTS):
-        outcomes, on_boundary = classify_batch(lams[start : start + _TILE_POINTS], x)
+        tile = lams[start : start + _TILE_POINTS]
+        outcomes, on_boundary = classify_batch(tile, x)
         for j in range(n - 1):
             counts[j] += np.count_nonzero(outcomes == j)
         boundary_hits += int(np.count_nonzero(on_boundary))
+        if paired is not None:
+            others, on_paired_boundary = classify_batch(tile, paired)
+            paired_hits += int(np.count_nonzero(on_paired_boundary))
+            rows = np.flatnonzero(outcomes != others)
+            off_diagonal += np.bincount(
+                outcomes[rows] * n + others[rows], minlength=n * n
+            )
     counts[-1] = len(lams) - counts[:-1].sum()
-    return counts, boundary_hits
+    if paired is None:
+        return counts, boundary_hits
+    joint = off_diagonal.reshape(n, n)
+    joint[np.diag_indices(n)] = counts - joint.sum(axis=1)
+    return joint, np.array([boundary_hits, paired_hits], dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

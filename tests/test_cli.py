@@ -627,6 +627,54 @@ class TestRobustnessCommand:
         assert run_cli(args + ["--format", "csv", "--out", str(out)]) == 0
         assert [r["ratio"] for r in read_csv(out)] == ["", ""]
 
+    def test_mc_rows_carry_the_standard_error_and_json_the_stream_version(
+        self, tmp_path, capsys
+    ):
+        args = ["robustness", "--state", "0.3,0.3,0.4", "--delta", "0.02,-0.01,-0.01"]
+        args += ["--epsilon-grid", "0.5,1.0", "--samples", "20000"]
+        mc = args + ["--method", "mc", "--seed", "7"]
+        assert run_cli(mc + ["--format", "json", "--out", str(tmp_path / "m.json")]) == 0
+        assert "standard_error=" in capsys.readouterr().out
+        payload = read_json(tmp_path / "m.json")
+        assert payload["stream_version"] == 2
+        errors = [r["standard_error"] for r in payload["results"]]
+        assert len(errors) == 2 and all(e > 0 for e in errors)
+        assert run_cli(mc + ["--out", str(tmp_path / "m.csv")]) == 0
+        rows = read_csv(tmp_path / "m.csv")
+        assert [float(r["standard_error"]) for r in rows] == errors
+        capsys.readouterr()
+        # the analytic path has no stream and no sampling error
+        analytic = ["robustness", "--state", "0.495,0.505", "--delta", "0.01,-0.01"]
+        analytic += ["--epsilon-grid", "0.5,1.0"]
+        out = tmp_path / "a.json"
+        assert run_cli(analytic + ["--format", "json", "--out", str(out)]) == 0
+        assert "standard_error" not in capsys.readouterr().out
+        payload = read_json(out)
+        assert "stream_version" not in payload
+        assert all("standard_error" not in r for r in payload["results"])
+        assert run_cli(analytic + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert "standard_error" not in read_csv(tmp_path / "a.csv")[0]
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_row_only_the_moved_state_cannot_rank_is_a_runtime_failure(
+        self, bad, threads, tmp_path, monkeypatch, capsys
+    ):
+        # x weighs the third coordinate zero, so only the moved state reads it
+        def faulty_rays(self, rng, size):
+            rays = rng.standard_exponential((size, self.n_outcomes))
+            rays[size // 2, 2] = bad
+            return rays
+
+        monkeypatch.setattr(density.UniformDensity, "sample_rays", faulty_rays)
+        out = tmp_path / "rob.json"
+        args = ["robustness", "--state", "0.5,0.5,0", "--delta=-0.01,0,0.01"]
+        args += ["--epsilon-grid", "1.0", "--method", "mc", "--samples", "100000"]
+        args += ["--seed", "1", "--threads", threads, "--out", str(out)]
+        assert run_cli(args) == 3
+        assert "cannot rank" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rationals_parse_like_their_decimals(self, tmp_path):
         args = ["robustness", "--state", "0.495,0.505"]
         outputs = []

@@ -217,6 +217,80 @@ class TestEstimate:
         assert np.array_equal(serial.counts, reference.counts)
 
 
+class TestPairedEstimate:
+    # the tie-heavy Dirac stream and a uniform one; 200_003 samples end
+    # mid-tile and mid-block
+    CASES = {
+        "dirac-ties": (
+            [0.2, 0.3, 0.5],
+            [0.4, 0.225, 0.375],
+            DiracMixtureDensity(
+                [
+                    BarycentricState(p)
+                    for p in (
+                        [0.2, 0.3, 0.5],
+                        [0.5, 0.3, 0.2],
+                        [0.4, 0.225, 0.375],
+                        [0.1, 0.6, 0.3],
+                    )
+                ]
+            ),
+        ),
+        "uniform": ([0.3, 0.3, 0.4], [0.32, 0.29, 0.39], UniformDensity(3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_marginals_are_the_single_state_estimates(self, case):
+        state, other, rho = self.CASES[case]
+        x, moved = BarycentricState(state), BarycentricState(other)
+        est = estimate(x, rho, 200_003, 7, paired=moved)
+        assert est.first.to_json() == estimate(x, rho, 200_003, 7).to_json()
+        assert est.second.to_json() == estimate(moved, rho, 200_003, 7).to_json()
+        assert est.joint.dtype == np.int64 and not est.joint.flags.writeable
+        assert est.joint.sum() == 200_003
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_joint_counts_do_not_depend_on_threads(self, case):
+        state, other, rho = self.CASES[case]
+        x, moved = BarycentricState(state), BarycentricState(other)
+        serial = estimate(x, rho, 200_003, 7, paired=moved)
+        parallel = estimate(x, rho, 200_003, 7, threads=2, paired=moved)
+        np.testing.assert_array_equal(serial.joint, parallel.joint)
+        assert serial.first.to_json() == parallel.first.to_json()
+        assert serial.second.to_json() == parallel.second.to_json()
+
+    def test_difference_and_its_paired_standard_error(self):
+        # outcome 1: 10 draws leave its region and 30 enter it
+        est = montecarlo.PairedEstimate.from_joint([[50, 10], [30, 10]], (1, 2), 100)
+        assert est.first.counts.tolist() == [60, 40]
+        assert est.second.counts.tolist() == [80, 20]
+        assert (est.first.boundary_hits, est.second.boundary_hits) == (1, 2)
+        d, se = est.difference(1)
+        assert d == pytest.approx(0.2)
+        assert se == pytest.approx(math.sqrt((0.4 - 0.04) / 100))
+        assert est.difference(2) == pytest.approx((-0.2, se))
+        for outcome in (0, 3):
+            with pytest.raises(ValueError, match="outcome"):
+                est.difference(outcome)
+        # a state compared with itself: no draw moves, no noise
+        same = estimate(
+            BarycentricState([0.2, 0.3, 0.5]),
+            UniformDensity(3),
+            10_000,
+            1,
+            paired=BarycentricState([0.2, 0.3, 0.5]),
+        )
+        assert same.difference(2) == (0.0, 0.0)
+
+    def test_a_paired_state_of_another_dimension_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            UniformDensity, "sample_rays", lambda *a: pytest.fail("sampled")
+        )
+        x = BarycentricState([0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="paired state"):
+            estimate(x, UniformDensity(3), 100, 1, paired=BarycentricState([0.5, 0.5]))
+
+
 class TestTiles:
     STATES = [[0.7, 0.3], [0.2, 0.3, 0.5], [0.05, 0.1, 0.0, 0.25, 0.3, 0.3]]
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from membranesim import robustness
+from membranesim.density import CentroidNeighborhood, UniformDensity, truncate
+from membranesim.montecarlo import estimate, standard_error
 from membranesim.robustness import (
     dirac_limit_demo,
     perturb_state,
@@ -125,6 +127,81 @@ class TestMonteCarloSweep:
         report = robustness_sweep(x, [0.01, -0.01, 0.0], [1.0], **kwargs)
         assert report.predicted == (0.0,)
         assert report.rows()[0]["ratio"] is None
+
+
+def spy_on_estimate(monkeypatch):
+    """Record every `estimate` call the sweep makes, with its result."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        result = estimate(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(robustness, "estimate", spy)
+    return calls
+
+
+#: the README sweep, and the benchmark's N = 3 state and delta
+PAIRED_SWEEPS = {
+    "readme-n2": ([0.495, 0.505], [0.01, -0.01], [0.02, 0.1, 0.5, 1.0]),
+    "n3": ([0.3, 0.3, 0.4], [0.02, -0.01, -0.01], [0.1, 0.3, 0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRED_SWEEPS))
+class TestPairedSweep:
+    N_SAMPLES = 150_003
+    SEED = 5
+
+    def sweep(self, case, monkeypatch):
+        state, delta, grid = PAIRED_SWEEPS[case]
+        x = BarycentricState(state)
+        calls = spy_on_estimate(monkeypatch)
+        report = robustness_sweep(
+            x, delta, grid, method="mc", n_samples=self.N_SAMPLES, seed=self.SEED
+        )
+        return x, report, calls
+
+    def test_one_draw_per_epsilon_and_the_first_state_keeps_its_stream(
+        self, case, monkeypatch
+    ):
+        x, report, calls = self.sweep(case, monkeypatch)
+        assert len(calls) == len(report.epsilon_grid)
+        for idx, (eps, (args, kwargs, est)) in enumerate(
+            zip(report.epsilon_grid, calls)
+        ):
+            assert args[0] is x and kwargs["paired"] is not x
+            n = x.n_outcomes
+            rho = truncate(UniformDensity(n), CentroidNeighborhood(n, eps))
+            seq = np.random.SeedSequence(self.SEED, spawn_key=(idx, 0))
+            want = estimate(x, rho, self.N_SAMPLES, seq)
+            assert est.first.to_json() == want.to_json()
+
+    def test_paired_error_is_at_most_the_independent_one(self, case, monkeypatch):
+        _x, report, calls = self.sweep(case, monkeypatch)
+        n, i = self.N_SAMPLES, report.outcome - 1
+        for measured, err, (*_, est) in zip(
+            report.measured, report.standard_errors, calls
+        ):
+            p_a = float(est.first.probabilities[i])
+            p_b = float(est.second.probabilities[i])
+            independent = np.hypot(standard_error(p_a, n), standard_error(p_b, n))
+            assert 0.0 < err <= independent
+            d, paired_error = est.difference(report.outcome)
+            assert (measured, err) == (abs(d), paired_error)
+            assert measured == pytest.approx(abs(p_b - p_a), abs=1e-15)
+
+
+def test_paired_sweep_matches_the_analytic_sweep_on_the_readme_grid():
+    x = BarycentricState([0.495, 0.505])
+    grid = [0.02, 0.1, 0.5, 1.0]
+    exact = robustness_sweep(x, [0.01, -0.01], grid)
+    mc = robustness_sweep(
+        x, [0.01, -0.01], grid, method="mc", n_samples=200_000, seed=1
+    )
+    for measured, want, err in zip(mc.measured, exact.measured, mc.standard_errors):
+        assert abs(measured - want) <= 5 * err
 
 
 class TestSweepValidation:

@@ -297,6 +297,68 @@ class TestRegionCounts:
             region_counts(np.zeros((size, 4)), BarycentricState([0.2, 0.3, 0.5]))
 
 
+# each tie case with a second state: a point of the batch itself, which
+# ties every ratio of that point, or one that weighs x's zero coordinate
+PAIRED_TIES = {
+    "tied-3": (*TIED_3, [0.4, 0.225, 0.375]),
+    "tied-6-zero-weight": (*TIED_6, [0.05, 0.1, 0.05, 0.2, 0.3, 0.3]),
+    "tied-6-both-zero": (*TIED_6, [0.1, 0.2, 0.0, 0.5, 0.1, 0.1]),
+    "tied-gap": (*TIED_GAP, [0.1, 0.65, 0.25]),
+    "tied-gap-4": (*TIED_GAP_4, [0.1, 0.3, 0.2, 0.4]),
+}
+
+
+class TestPairedRegionCounts:
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, _TILE_POINTS - 1, _TILE_POINTS, _TILE_POINTS + 1, BLOCK_SIZE + 3],
+    )
+    @pytest.mark.parametrize(
+        "state,points,other", PAIRED_TIES.values(), ids=PAIRED_TIES
+    )
+    def test_joint_counts_match_two_classifications(self, size, state, points, other):
+        x, paired = BarycentricState(state), BarycentricState(other)
+        n = x.n_outcomes
+        lams = tie_batch(points, size, seed=size)
+        strided = np.full((2 * size, n), np.nan)
+        strided[::2] = lams
+        for view in (lams, strided[::2]):
+            la, ba = classify_batch(view, x)
+            lb, bb = classify_batch(view, paired)
+            joint, hits = region_counts(view, x, paired)
+            assert joint.dtype == hits.dtype == np.int64
+            np.testing.assert_array_equal(
+                joint, np.bincount(la * n + lb, minlength=n * n).reshape(n, n)
+            )
+            assert hits.tolist() == [int(ba.sum()), int(bb.sum())]
+            # the first state's counts are the single-state call's, exactly
+            counts, boundary_hits = region_counts(view, x)
+            np.testing.assert_array_equal(joint.sum(axis=1), counts)
+            assert hits[0] == boundary_hits
+        if size > _TILE_POINTS:
+            assert hits[0] > 0 and (joint != np.diag(np.diag(joint))).any()
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_a_batch_of_the_wrong_dimension_is_rejected(self, size):
+        x = BarycentricState([0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="batch shape"):
+            region_counts(np.zeros((size, 4)), x, x)
+        with pytest.raises(ValueError, match="batch shape"):
+            region_counts(np.zeros((size, 3)), x, BarycentricState([0.25] * 4))
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0, -1.0], [1.0, 1.0, np.nan]])
+    def test_a_row_only_the_paired_state_cannot_rank_raises(self, row):
+        # x's zero weight makes the bad coordinate's ratio +inf, so only the
+        # paired state, which weighs that coordinate, reads it
+        x = BarycentricState([0.5, 0.5, 0.0])
+        paired = BarycentricState([0.49, 0.5, 0.01])
+        lams = np.tile([0.3, 0.3, 0.4], (_TILE_POINTS + 5, 1))
+        lams[_TILE_POINTS + 2] = row
+        assert region_counts(lams, x)[0].sum() == len(lams)
+        with pytest.raises(FloatingPointError, match="cannot rank"):
+            region_counts(lams, x, paired)
+
+
 # rows whose minimal ratio is negative, NaN or +inf: no outcome ties at
 # such a bound, so they used to fall to the last outcome
 UNRANKABLE_ROWS = {
