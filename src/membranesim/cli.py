@@ -12,7 +12,8 @@ each value must have the JSON type of its option (integer, number,
 string, or true/false for a flag); explicit flags override config
 values, config values override built-in defaults, and required options
 may come from either. --threads defaults to the MEMBRANESIM_THREADS
-environment variable, which must be at least 1, else to the CPU count.
+environment variable, which must be at least 1, else to the number of
+CPUs this process may run on.
 The --out path is checked before any work and replaced whole at the end;
 without --out the data goes to stdout and the summary lines to stderr.
 Identical configuration and seed produce byte-identical output files;
@@ -38,7 +39,7 @@ import sys
 from fractions import Fraction
 
 from .density import cellular_approximation, density_from_spec
-from .montecarlo import estimate
+from .montecarlo import _usable_cpus, estimate
 from .robustness import SWEEP_STREAM_VERSION, dirac_limit_demo, robustness_sweep
 from .simplex import BarycentricState
 from .universal import (
@@ -93,7 +94,7 @@ def _parse_points(text: str) -> list[BarycentricState]:
 def _default_threads() -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env is None:
-        return os.cpu_count() or 1
+        return _usable_cpus()
     try:
         threads = int(env)
     except ValueError:
@@ -301,7 +302,7 @@ _SHARED = {
     "threads": dict(
         type=int,
         default=_default_threads,
-        help=f"worker threads (default: ${THREADS_ENV_VAR} or the CPU count)",
+        help=f"worker threads (default: ${THREADS_ENV_VAR} or the usable CPUs)",
     ),
     "out": dict(help="output file path (default: stdout)"),
 }

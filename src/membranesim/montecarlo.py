@@ -246,6 +246,15 @@ class _RandomMaskDensity(Density):
         return _segment_points((cell + u) / self.n_cells)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one (under `taskset` it is smaller than the machine), else
+    the machine's CPU count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def estimate(
     x: BarycentricState,
     rho: Density,
@@ -266,8 +275,8 @@ def estimate(
     tile is classified against both states, and the result is a
     `PairedEstimate` built from the merged joint counts; its `first`
     counts equal those of the call without `paired`.
-    Blocks run on at most `threads` workers, and on no more than the CPU
-    count. Deterministic given (x, rho, n_samples, seed), whatever the
+    Blocks run on at most `threads` workers, and on no more than the
+    CPUs this process may use. Deterministic given (x, rho, n_samples, seed), whatever the
     thread count; `seed` may not be None, which would draw fresh entropy
     for every block.
     """
@@ -289,7 +298,7 @@ def estimate(
         return region_counts(rays, x, paired)
 
     # an executor starts one OS thread per block while none is idle
-    workers = min(threads, len(sizes), os.cpu_count() or 1)
+    workers = min(threads, len(sizes), _usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(block, range(len(sizes))))

@@ -22,11 +22,12 @@ breaks is again k_i / k.
 Every enumerated result follows one contract. A single kernel counts
 every nonzero mask by k and by the popcounts (`np.bitwise_count`) of
 the requested shifts. Those statistics add over disjoint bits, so the
-kernel splits each mask into its low 16 bits and a high prefix: one
-bincount over the 2**16 low masks gives a table, and each of the
-2**(n - 16) prefixes adds that table at its own index as an offset.
-No binomial enters the counts. Integer dot products turn them into
-per-k integer sums S_k. Each exact sum, over S_k / k here and over the
+kernel splits each mask into its low ceil(n/2) bits and a high prefix
+and counts each half once: one bincount over the low masks gives a
+table, one over the high prefixes counts the prefixes at each index,
+and each distinct prefix index adds the table at that offset, times
+its count. No binomial enters the counts. Integer dot products turn
+them into per-k integer sums S_k. Each exact sum, over S_k / k here and over the
 binomial terms of the identities, is one integer numerator over
 lcm(1..K), made into a single Fraction at the end. An identity's
 integer terms come in one pass, each from the one before it by the
@@ -52,17 +53,30 @@ import numpy as np
 
 from .density import CellularMask
 
-#: guard on full-mask enumeration; one kernel pass over 2**24 masks takes
-#: about 1.5 ms, theorem_report(24) about 0.04 s (2 vCPU, numpy 2.4.6)
-MAX_ENUMERABLE_CELLS = 24
+#: guard on full-mask enumeration; one kernel pass over 2**40 masks takes
+#: 0.03-0.04 s with a 25 MiB peak, theorem_report(40) 0.35-0.7 s and
+#: theorem_report(24) 0.006-0.013 s (2 vCPU, numpy 2.4.6)
+MAX_ENUMERABLE_CELLS = 40
 #: largest n_max of the identity table; identity_report(600) takes about
-#: 0.23 s, the CLI run about 0.4-0.6 s (2 vCPU, Python 3.11)
+#: 0.10-0.15 s, the CLI run about 0.3 s (2 vCPU, Python 3.11)
 MAX_IDENTITY_N = 600
-#: mask bits counted once into the kernel's low table; 2**16 masks keep
-#: each int64 temporary at 512 KB, inside a core's L2 cache
-_LOW_BITS = 16
 #: mask bits per kernel pass of the theorem table's per-cell counts
 _FIELD_BITS = 8
+
+
+def _low_bits(n: int) -> int:
+    """Mask bits in the kernel's low half: ceil(n/2), so that the low
+    masks and the high prefixes each take 2**(n/2) entries at most."""
+    return (n + 1) // 2
+
+
+def _check_enumerable(n: int) -> None:
+    if n > MAX_ENUMERABLE_CELLS:
+        raise ValueError(
+            f"enumeration over 2**{n} masks exceeds the bound of "
+            f"{MAX_ENUMERABLE_CELLS} cells"
+        )
+
 
 @dataclass(frozen=True)
 class ElasticConfiguration1D:
@@ -115,14 +129,14 @@ def _mask_counts(
     length 2**width holds the field (mask >> bit) & (2**width - 1),
     extracted on its own. Every statistic is additive over disjoint
     bits, so the flat index of mask = high + low, with low below bit
-    _LOW_BITS, is index(high) + index(low). One bincount over the low
-    masks gives a table; each high prefix adds it at offset index(high).
+    _low_bits(n), is index(high) + index(low). One bincount over the
+    low masks gives a table and one over the high prefixes gives each
+    index(high) its number of prefixes. Every pair of a nonzero table
+    entry and a nonzero prefix count adds their product at the sum of
+    their indices, in one integer `np.add.at`: each mask is counted
+    once, as a (high, low) pair, in int64 throughout.
+    Callers check n against MAX_ENUMERABLE_CELLS first.
     """
-    if n > MAX_ENUMERABLE_CELLS:
-        raise ValueError(
-            f"enumeration over 2**{n} masks exceeds the bound of "
-            f"{MAX_ENUMERABLE_CELLS} cells"
-        )
     field = (1 << width) - 1
     dims = (
         n + 1,
@@ -140,12 +154,17 @@ def _mask_counts(
             index += (masks >> bit) & field
         return index
 
-    low_bits = min(n, _LOW_BITS)
+    low_bits = _low_bits(n)
     table = np.bincount(flat_index(np.arange(1 << low_bits, dtype=np.int64)))
     highs = np.arange(1 << (n - low_bits), dtype=np.int64) << low_bits
+    prefixes = np.bincount(flat_index(highs))
+    low, high = np.flatnonzero(table), np.flatnonzero(prefixes)
     counts = np.zeros(prod(dims), dtype=np.int64)
-    for offset in flat_index(highs).tolist():
-        counts[offset : offset + table.size] += table
+    np.add.at(
+        counts,
+        (high[:, None] + low).ravel(),
+        (prefixes[high][:, None] * table[low]).ravel(),
+    )
     counts[0] -= 1  # the zero mask
     return counts.reshape(dims)
 
@@ -206,6 +225,7 @@ def universal_average_abstract(n_cells: int, cells_in_complement: int) -> Fracti
         raise ValueError("need at least one cell")
     if not 0 <= i <= n:
         raise ValueError(f"complement size must be in 0..{n}")
+    _check_enumerable(n)
     sums = _mask_counts(n, (i,)) @ np.arange(n - i + 1)
     return _per_k_total(sums) / (2**n - 1)
 
@@ -314,6 +334,7 @@ def recurrence_step_check(n: int, i: int) -> RecurrenceReport:
         raise ValueError("an induction step needs at least three cells")
     if not 1 <= i <= n - 2:
         raise ValueError(f"position must be in 1..{n - 2}")
+    _check_enumerable(n)
     # axes: k, popcount(mask >> i), popcount(mask >> (i + 1)), bit i
     counts = _mask_counts(n, (i, i + 1), bit=i)
     r_i = np.arange(n - i + 1)[:, None, None]

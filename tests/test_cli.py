@@ -442,11 +442,24 @@ class TestUniversalExact:
         assert option in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("cells", ["1", "26"])
+    @pytest.mark.parametrize("cells", ["1", "41", "42"])
     def test_table_size_out_of_range(self, cells, capsys):
         assert run_cli(["universal-exact", "--cells", cells, "--table"]) == 2
         captured = capsys.readouterr()
         assert "table size" in captured.err
+        assert captured.out == ""
+
+    def test_a_position_past_the_bound_exits_2_before_enumerating(
+        self, capsys, monkeypatch
+    ):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated before checking the bound")
+
+        monkeypatch.setattr(universal, "_mask_counts", no_enumeration)
+        args = ["universal-exact", "--cells", "41", "--position", "3"]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert "bound of 40 cells" in captured.err
         assert captured.out == ""
 
 
@@ -981,6 +994,23 @@ def test_thread_env_var_sets_the_default(monkeypatch):
     assert _default_threads() == 2
     monkeypatch.delenv("MEMBRANESIM_THREADS")
     assert _default_threads() >= 1
+
+
+def test_default_threads_count_only_the_usable_cpus(monkeypatch):
+    import os
+
+    from membranesim.cli import _default_threads
+
+    monkeypatch.delenv("MEMBRANESIM_THREADS", raising=False)
+    # pinned to one CPU of two, as under taskset -c 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _default_threads() == 1
+    # a platform with no affinity call falls back to the CPU count, then to 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _default_threads() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _default_threads() == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])

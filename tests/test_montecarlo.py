@@ -194,7 +194,7 @@ class TestEstimate:
         with pytest.raises(ValueError, match="seed"):
             estimate_universal(BarycentricState([0.5, 0.5]), 4, 100_000, None)
 
-    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
         # a stand-in executor that starts no thread records the pool size
         asked = []
 
@@ -204,16 +204,27 @@ class TestEstimate:
                 raise RuntimeError("no pool in this test")
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", NoPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3})
         x, rho = BarycentricState([0.5, 0.5]), UniformDensity(2)
         with pytest.raises(RuntimeError, match="no pool"):
             estimate(x, rho, 5 * montecarlo.BLOCK_SIZE, 1, threads=5000)
         assert asked == [2]
-        # an unknown CPU count runs on one thread, with no pool at all
+        reference = estimate(x, rho, 3 * montecarlo.BLOCK_SIZE, 1)
+        # pinned to one CPU of two (taskset -c 0), one thread and no pool
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
+        serial = estimate(x, rho, 3 * montecarlo.BLOCK_SIZE, 1, threads=2)
+        assert np.array_equal(serial.counts, reference.counts)
+        # with no affinity call the machine's CPU count caps the pool
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        with pytest.raises(RuntimeError, match="no pool"):
+            estimate(x, rho, 5 * montecarlo.BLOCK_SIZE, 1, threads=5000)
+        assert asked == [2, 2]
+        # and an unknown CPU count runs on one thread, with no pool at all
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
         serial = estimate(x, rho, 3 * montecarlo.BLOCK_SIZE, 1, threads=5000)
-        assert asked == [2]
-        reference = estimate(x, rho, 3 * montecarlo.BLOCK_SIZE, 1)
+        assert asked == [2, 2]
         assert np.array_equal(serial.counts, reference.counts)
 
 

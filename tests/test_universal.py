@@ -179,7 +179,24 @@ class TestUniversalAverage:
         with pytest.raises(ValueError):
             universal_average_1d(3, 3)
         with pytest.raises(ValueError):
-            universal_average_1d(25, 1)
+            universal_average_1d(41, 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: universal_average_1d(41, 3),
+            lambda: universal_average_abstract(41, 3),
+            lambda: recurrence_step_check(41, 3),
+        ],
+        ids=["average_1d", "abstract", "recurrence"],
+    )
+    def test_past_the_bound_rejects_before_enumerating(self, call, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated before checking the bound")
+
+        monkeypatch.setattr(universal, "_mask_counts", no_enumeration)
+        with pytest.raises(ValueError, match="bound of 40 cells"):
+            call()
 
 
 class TestAbstractAverage:
@@ -348,21 +365,26 @@ class TestRecurrenceStep:
 
 class TestMaskCounts:
     """The enumeration kernel against closed-form counts, past 2**16
-    masks and across the low table's split at bit 16, where the brute
-    oracles above (n <= 8) do not reach."""
+    masks, up to the bound of 40 cells and across the split between the
+    low table and the high prefixes at bit ceil(n/2), where the brute
+    oracles above (n <= 8) do not reach. Every nonzero mask is counted
+    once, so the counts sum to 2**n - 1."""
 
-    @pytest.mark.parametrize("n, i", [(17, 5), (21, 1), (21, 13), (24, 6)])
+    @pytest.mark.parametrize(
+        "n, i", [(17, 5), (21, 1), (21, 13), (24, 6), (32, 11), (40, 13)]
+    )
     def test_one_shift(self, n, i):
-        np.testing.assert_array_equal(
-            universal._mask_counts(n, (i,)), closed_form_counts(n, i)
-        )
+        counts = universal._mask_counts(n, (i,))
+        np.testing.assert_array_equal(counts, closed_form_counts(n, i))
+        assert counts.sum() == (1 << n) - 1
 
-    @pytest.mark.parametrize("n, i", [(17, 9), (21, 2), (24, 17)])
+    @pytest.mark.parametrize(
+        "n, i", [(17, 9), (21, 2), (24, 17), (32, 16), (40, 1), (40, 27)]
+    )
     def test_two_shifts_and_a_bit(self, n, i):
-        np.testing.assert_array_equal(
-            universal._mask_counts(n, (i, i + 1), bit=i),
-            closed_form_split_counts(n, i),
-        )
+        counts = universal._mask_counts(n, (i, i + 1), bit=i)
+        np.testing.assert_array_equal(counts, closed_form_split_counts(n, i))
+        assert counts.sum() == (1 << n) - 1
 
     @pytest.mark.parametrize(
         "n, low, width",
@@ -373,34 +395,43 @@ class TestMaskCounts:
             (21, 8, 8),
             (21, 16, 5),
             (24, 16, 8),
-            # fields across bit 16, split between the low table and the offsets
+            # fields across bit 16
             (20, 12, 8),
             (24, 14, 5),
+            # a field at each end, and one across the split at bit 16 or 20
+            (32, 0, 8),
+            (32, 24, 8),
+            (32, 12, 8),
+            (40, 0, 8),
+            (40, 32, 8),
+            (40, 16, 8),
         ],
     )
     def test_a_field(self, n, low, width):
+        counts = universal._mask_counts(n, (), bit=low, width=width)
         np.testing.assert_array_equal(
-            universal._mask_counts(n, (), bit=low, width=width),
-            closed_form_field_counts(n, low, width),
+            counts, closed_form_field_counts(n, low, width)
         )
+        assert counts.sum() == (1 << n) - 1
 
-    def test_results_do_not_depend_on_the_split_point(self, monkeypatch):
+    @pytest.mark.parametrize("split", [0, 1, 5, "half", "n"])
+    def test_results_do_not_depend_on_the_split_point(self, split, monkeypatch):
         whole = (
             theorem_report(12),
             universal._mask_counts(17, (5,)),
             recurrence_step_check(13, 4),
         )
-        # 0 low bits gives every mask its own offset, the one-mask-at-a-time
-        # enumeration; 1 and 5 put the split inside every 8-bit field
-        for low_bits in (0, 1, 5):
-            monkeypatch.setattr(universal, "_LOW_BITS", low_bits)
-            assert theorem_report(12) == whole[0]
-            np.testing.assert_array_equal(
-                universal._mask_counts(17, (5,)), whole[1]
-            )
-            assert recurrence_step_check(13, 4) == whole[2]
+        # 0 low bits gives every mask its own high prefix and n low bits puts
+        # every mask in the low table: both are one-mask-at-a-time
+        # enumerations; 1 and 5 put the split inside every 8-bit field
+        seams = {"half": lambda n: (n + 1) // 2, "n": lambda n: n}
+        low_bits = seams.get(split, lambda n: min(n, split))
+        monkeypatch.setattr(universal, "_low_bits", low_bits)
+        assert theorem_report(12) == whole[0]
+        np.testing.assert_array_equal(universal._mask_counts(17, (5,)), whole[1])
+        assert recurrence_step_check(13, 4) == whole[2]
 
-    def test_one_bincount_per_call(self, monkeypatch):
+    def test_one_bincount_per_half(self, monkeypatch):
         real_bincount = np.bincount
         calls = []
 
@@ -412,7 +443,7 @@ class TestMaskCounts:
         np.testing.assert_array_equal(
             universal._mask_counts(24, (6,)), closed_form_counts(24, 6)
         )
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -458,6 +489,15 @@ class TestReports:
             if n <= 8:
                 assert row["average"] == str(brute_average(n, i))
 
+    def test_theorem_report_at_the_bound(self):
+        report = theorem_report(universal.MAX_ENUMERABLE_CELLS)
+        rows = report["rows"]
+        assert rows[-1]["n_cells"] == 40
+        assert len(rows) == sum(n - 1 for n in range(2, 41))
+        for row in rows:
+            n, i = row["n_cells"], row["position"]
+            assert row["equal"] and row["average"] == str(Fraction(n - i, n))
+
     def test_theorem_report_runs_the_kernel_once_per_field(self, monkeypatch):
         real_counts = universal._mask_counts
         calls = []
@@ -470,7 +510,7 @@ class TestReports:
         theorem_report(10)
         assert calls == [*range(2, 9), 9, 9, 10, 10]
 
-    @pytest.mark.parametrize("max_cells", [-1, 0, 1, 25, 26])
+    @pytest.mark.parametrize("max_cells", [-1, 0, 1, 41, 42])
     def test_theorem_report_rejects_sizes_before_enumerating(
         self, max_cells, monkeypatch
     ):
