@@ -34,7 +34,7 @@ from .montecarlo import (
     substream,
     wilson_interval,
 )
-from .quantum import QuantumState, born_probabilities, to_simplex_state
+from .quantum import QuantumState, to_simplex_state
 from .robustness import (
     DiracLimitReport,
     RobustnessReport,
@@ -89,7 +89,6 @@ __all__ = [
     "UniformDensity",
     "binomial_identity_a",
     "binomial_identity_b",
-    "born_probabilities",
     "cellular_approximation",
     "classify_batch",
     "density_from_spec",

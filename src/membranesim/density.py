@@ -64,8 +64,12 @@ _WEIGHT_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class NotAnalyticError(Exception):
-    """The density has no closed-form region integral for this case;
-    callers fall back to Monte Carlo estimation."""
+    """No closed-form integral exists for this case. Raised by
+    `Density.region_probabilities` for a family without one and by
+    `ControlRegion.breakable_intervals` above two outcomes, so by a
+    truncated uniform density's region integrals there. No caller
+    catches it: `robustness_sweep` rejects the analytic path above two
+    outcomes with ValueError before it integrates anything."""
 
 
 class _WeightedIndex:
@@ -132,8 +136,10 @@ class _WeightedIndex:
 class CellularMask:
     """Breakable/unbreakable assignment for the cells of a tessellation.
 
-    Cell i (1-based) is breakable when breakable[i-1] is True; the
-    all-unbreakable assignment is rejected, it produces no outcomes.
+    Cell i (1-based) is breakable when breakable[i-1] is True. Entries
+    must be `bool` or `numpy.bool_`, so that an integer cannot count as
+    several breakable cells; the all-unbreakable assignment is
+    rejected, it produces no outcomes.
     """
 
     breakable: tuple[bool, ...]
@@ -141,6 +147,8 @@ class CellularMask:
     def __post_init__(self):
         if len(self.breakable) < 1:
             raise ValueError("a mask needs at least one cell")
+        if not set(map(type, self.breakable)) <= {bool, np.bool_}:
+            raise ValueError("mask entries must be booleans")
         if not any(self.breakable):
             raise ValueError("a mask needs at least one breakable cell")
 
@@ -636,8 +644,13 @@ class CellularGridDensity(Density):
         if mask is None:
             breakable = np.ones(n_cells, dtype=bool)
         else:
-            breakable = np.asarray(list(mask), dtype=bool)
-            if breakable.size != n_cells:
+            breakable = np.array(mask)
+            if breakable.dtype != bool:
+                flags = breakable.dtype.kind in "iu" and np.isin(breakable, (0, 1))
+                if not np.all(flags):
+                    raise ValueError("mask entries must be true, false, 0 or 1")
+                breakable = breakable.astype(bool)
+            if breakable.shape != (n_cells,):
                 raise ValueError(f"mask must cover {n_cells} grid cells")
             if not breakable.any():
                 raise ValueError("a mask needs at least one breakable cell")

@@ -247,6 +247,20 @@ class TestSimulate:
         assert captured.out == ""
         assert "grid cells, above the bound" in captured.err
 
+    @pytest.mark.parametrize("flag", [2, -1])
+    def test_grid_mask_entry_other_than_a_flag_is_a_validation_error(
+        self, capsys, flag
+    ):
+        spec = {"type": "grid", "resolution": 3, "mask": [flag] + [0] * 8}
+        code = run_cli(
+            ["simulate", "--state", "0.2,0.3,0.5", "--density", json.dumps(spec)]
+            + ["--seed", "1", "--samples", "1000"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "true, false, 0 or 1" in captured.err
+
     def test_interval_epsilon_must_match_the_intervals(self, capsys):
         spec = {
             "type": "truncated-uniform",

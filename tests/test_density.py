@@ -58,6 +58,17 @@ class TestCellularMask:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             CellularMask.from_string("bxu")
+
+    @pytest.mark.parametrize(
+        "entries", [(1, 2, 0), ("u", "u"), (1, 0), (True, np.int64(1))]
+    )
+    def test_entries_must_be_booleans(self, entries):
+        # (1, 2, 0) would count 3 breakable cells yet print as "bbu"
+        with pytest.raises(ValueError, match="booleans"):
+            CellularMask(entries)
+
+    def test_numpy_booleans_are_booleans(self):
+        assert str(CellularMask((np.True_, np.False_))) == "bu"
         with pytest.raises(ValueError):
             CellularMask.from_bits(0, 3)
 
@@ -398,6 +409,23 @@ class TestCellularGrid:
             CellularGridDensity(3, 100_000)
         with pytest.raises(ValueError, match="grid cells"):
             CellularGridDensity(24, 2)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 1.0, None, "b"], ids=repr)
+    def test_mask_entries_must_be_flags(self, bad):
+        with pytest.raises(ValueError, match="true, false, 0 or 1"):
+            CellularGridDensity(3, 3, [bad] + [1] * 8)
+
+    def test_mask_flags_may_mix_booleans_and_bits(self):
+        grid = CellularGridDensity(3, 3, [True, 0, 1] + [False] * 6)
+        assert grid.mask.tolist() == [True, False, True] + [False] * 6
+
+    def test_mask_is_copied_and_one_dimensional(self):
+        mask = np.ones(9, dtype=bool)
+        grid = CellularGridDensity(3, 3, mask)
+        mask[0] = False
+        assert grid.mask[0]
+        with pytest.raises(ValueError, match="cover 9 grid cells"):
+            CellularGridDensity(3, 3, mask.reshape(3, 3))
 
     def test_cell_bound_admits_exactly_max_grid_cells(self, monkeypatch):
         monkeypatch.setattr(density_module, "MAX_GRID_CELLS", 16)
