@@ -139,7 +139,8 @@ class CellularMask:
     Cell i (1-based) is breakable when breakable[i-1] is True. Entries
     must be `bool` or `numpy.bool_`, so that an integer cannot count as
     several breakable cells; the all-unbreakable assignment is
-    rejected, it produces no outcomes.
+    rejected, it produces no outcomes. The entries are kept as a tuple
+    whatever sequence held them, so equal masks compare and hash equal.
     """
 
     breakable: tuple[bool, ...]
@@ -151,6 +152,7 @@ class CellularMask:
             raise ValueError("mask entries must be booleans")
         if not any(self.breakable):
             raise ValueError("a mask needs at least one breakable cell")
+        object.__setattr__(self, "breakable", tuple(self.breakable))
 
     @classmethod
     def from_string(cls, text: str) -> "CellularMask":

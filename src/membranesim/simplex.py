@@ -40,9 +40,9 @@ SUM_TOL = 1e-12
 #: relative tolerance for declaring two breaking-point ratios tied
 TIE_RTOL = 1e-12
 #: rows per `region_counts` slice: at N <= 8 the slice's (N, tile)
-#: float64 ratios take at most 1 MiB, inside a 4 MiB L2 cache; per row
-#: the slice also holds a float64 bound, an intp label, a byte counter
-#: and a few bool masks
+#: float64 ratios take at most 1 MiB, inside a core's 2 MiB L2 cache;
+#: per row the slice also holds a float64 bound, two N-byte tie masks,
+#: an intp label and a byte tie count
 _TILE_POINTS = 1 << 14
 
 
@@ -64,7 +64,7 @@ class BarycentricState:
     paths (float view always available in `coords`).
     """
 
-    __slots__ = ("coords", "exact_coords")
+    __slots__ = ("coords", "exact_coords", "_divisors", "_zero_rows")
 
     def __init__(self, coords):
         try:
@@ -95,6 +95,13 @@ class BarycentricState:
         arr.flags.writeable = False
         self.coords = arr
         self.exact_coords = exact
+        # what `_breaking_ratios` divides by: each weight, or 1 where it is
+        # 0, whose ratio row is then set to +inf; kept with the state, since
+        # every tile of a batch would otherwise redo it holding the GIL
+        divisors = np.where(arr > 0, arr, 1.0)
+        divisors.flags.writeable = False
+        self._divisors = divisors[:, None]
+        self._zero_rows = np.flatnonzero(arr == 0)
 
     @property
     def n_outcomes(self) -> int:
@@ -171,14 +178,18 @@ def _breaking_ratios(
     xs = x.coords
     if lams.ndim != 2 or lams.shape[1] != xs.size:
         raise ValueError("batch shape does not match the state dimension")
-    ratios = np.empty((xs.size, lams.shape[0]))
-    for j, xj in enumerate(xs):
-        if xj > 0:
-            np.divide(lams[:, j], xj, out=ratios[j])
-        else:
-            ratios[j] = np.inf
-    bound = ratios.min(axis=0)
-    if bound.size and not (bound.min() >= 0 and bound.max() < np.inf):
+    # one divide for every outcome, written in (N, size) order so that the
+    # row operations after it run on contiguous memory; a zero weight's
+    # column is divided by 1, never by 0, and its row then set to +inf
+    ratios = np.divide(
+        lams.T, x._divisors, out=np.empty((xs.size, lams.shape[0]))
+    )
+    if x._zero_rows.size:
+        ratios[x._zero_rows] = np.inf
+    bound = np.minimum.reduce(ratios, axis=0)
+    if bound.size and not (
+        np.minimum.reduce(bound) >= 0 and np.maximum.reduce(bound) < np.inf
+    ):
         raise FloatingPointError(
             "a row has a NaN, negative or infinite minimal ratio; "
             "the ratio rule cannot rank it"
@@ -198,26 +209,26 @@ def classify_batch(
     Returns (outcomes, on_boundary): 0-based outcome indices after the
     lowest-index tie-break, and the mask of points whose minimal ratio
     is attained more than once within TIE_RTOL, as in `region_of`'s
-    float path. Both come from one tie mask per outcome, with integer
-    arithmetic and no masked stores. Its temporaries grow with `size`;
-    `region_counts` counts a large batch tile by tile through it.
+    float path. Both come from one (N, size) tie mask: a tie count
+    above one marks a boundary point, and weighing outcome j's ties by
+    N - j makes a point's heaviest tie its lowest tied index. Each step
+    is one numpy call over the whole batch, so a batch takes the same
+    dozen calls whatever N is. The number matters when two workers
+    classify at once: every call releases the GIL and takes it back, and
+    a worker that finds it held sleeps until the other hands it over.
+    Its temporaries grow with `size`; `region_counts` counts a large
+    batch tile by tile through it.
     """
     ratios, bound = _breaking_ratios(lams, x)
-    n, size = ratios.shape
-    # claimed: tied at an outcome below j. A label is n - 1 less the number
-    # of j at which its point is already claimed, which leaves its lowest
-    # tied index; a tie at a claimed point is a boundary hit.
-    claimed = ratios[0] <= bound
-    n_claimed = np.zeros(size, dtype=np.min_scalar_type(n - 1))
-    on_boundary = np.zeros(size, dtype=bool)
-    tied = np.empty(size, dtype=bool)
-    for j in range(1, n):
-        n_claimed += claimed
-        np.less_equal(ratios[j], bound, out=tied)
-        on_boundary |= tied & claimed
-        claimed |= tied
-    np.subtract(n - 1, n_claimed, out=n_claimed)
-    return n_claimed.astype(np.intp), on_boundary
+    n = len(ratios)
+    count_type = np.min_scalar_type(n)
+    tied = (ratios <= bound).view(np.uint8)
+    on_boundary = np.add.reduce(tied, axis=0, dtype=count_type) > 1
+    # outcome j weighs n - j where it ties: the heaviest tie is the lowest
+    weights = np.arange(n, 0, -1, dtype=count_type)[:, None]
+    heaviest = np.maximum.reduce(np.multiply(tied, weights), axis=0)
+    outcomes = np.subtract(n, heaviest, out=np.empty(len(heaviest), dtype=np.intp))
+    return outcomes, on_boundary
 
 
 def region_counts(
@@ -230,9 +241,12 @@ def region_counts(
     sums each slice's boundary count and, for each outcome but the last,
     the count of its labels (one comparison per outcome, cheaper at small
     N than `np.bincount`'s scattered increments); the last outcome takes
-    the remaining rows. Its temporaries stay one slice long whatever
-    `size` is. Counts are sums over rows, so they do not depend on the
-    slice length.
+    the remaining rows. A slice thus costs a fixed dozen numpy calls to
+    classify and two per outcome to count; each call hands the GIL to
+    any other worker that waits for it, so fewer calls per slice let two
+    workers count in parallel instead of queuing. Its temporaries stay
+    one slice long whatever `size` is. Counts are sums over rows, so
+    they do not depend on the slice length.
 
     With a second state `paired`, each slice is also classified against
     it while the slice is in cache, and the result is (joint, hits):

@@ -72,6 +72,20 @@ class TestCellularMask:
         with pytest.raises(ValueError):
             CellularMask.from_bits(0, 3)
 
+    def test_a_list_mask_is_the_tuple_mask(self):
+        listed = CellularMask([True, False, True])
+        tupled = CellularMask((True, False, True))
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert listed.breakable == (True, False, True)
+
+    def test_a_list_mask_gives_the_tuple_masks_probabilities(self):
+        listed = Cellular1DDensity(CellularMask([True, False, True, True]))
+        tupled = Cellular1DDensity(CellularMask((True, False, True, True)))
+        for x in ([Fraction(5, 8), Fraction(3, 8)], [0.625, 0.375]):
+            x = BarycentricState(x)
+            assert listed.region_probabilities(x) == tupled.region_probabilities(x)
+
 
 class TestUniformDensity:
     def test_region_probability_is_the_coordinate(self):

@@ -359,6 +359,32 @@ class TestPairedRegionCounts:
             region_counts(lams, x, paired)
 
 
+@pytest.mark.parametrize("size", [0, BLOCK_SIZE + 3])
+def test_region_counts_classifies_every_row_once_per_state(size):
+    # a benchmark span times simplex.classify_batch and counts its points,
+    # so region_counts must route every row through that name: once per
+    # state, one tile per call (an empty batch still takes one empty tile,
+    # which checks its shape)
+    x, paired = BarycentricState(TIED_3[0]), BarycentricState([0.4, 0.225, 0.375])
+    lams = np.random.default_rng(5).dirichlet(np.ones(3), size=size)
+    tiles = max(1, math.ceil(size / _TILE_POINTS))
+    for states in ((x,), (x, paired)):
+        calls = []
+
+        def spy(tile, state):
+            calls.append((tile, state))
+            return classify_batch(tile, state)
+
+        with mock.patch.object(simplex, "classify_batch", spy):
+            region_counts(lams, *states)
+        assert len(calls) == tiles * len(states)
+        for state in states:
+            rows = [tile for tile, s in calls if s is state]
+            assert len(rows) == tiles
+            assert all(len(tile) <= _TILE_POINTS for tile in rows)
+            np.testing.assert_array_equal(np.concatenate(rows), lams)
+
+
 # rows whose minimal ratio is negative, NaN or +inf: no outcome ties at
 # such a bound, so they used to fall to the last outcome
 UNRANKABLE_ROWS = {
@@ -382,6 +408,120 @@ class TestUnrankableRows:
         lams[_TILE_POINTS + 2] = row
         with pytest.raises(FloatingPointError, match="cannot rank"):
             region_counts(lams, self.x)
+
+
+def _classify_by_outcome(lams, x):
+    """`classify_batch` as one pass per outcome: a row divide per weight
+    and a running mask of the points tied at a lower outcome. The
+    reference for the whole-batch version, which must match it exactly."""
+    xs = x.coords
+    ratios = np.empty((xs.size, lams.shape[0]))
+    for j, xj in enumerate(xs):
+        if xj > 0:
+            np.divide(lams[:, j], xj, out=ratios[j])
+        else:
+            ratios[j] = np.inf
+    bound = ratios.min(axis=0)
+    if bound.size and not (bound.min() >= 0 and bound.max() < np.inf):
+        raise FloatingPointError("the ratio rule cannot rank a row")
+    bound *= 1.0 + simplex.TIE_RTOL
+    n, size = ratios.shape
+    claimed = ratios[0] <= bound
+    n_claimed = np.zeros(size, dtype=np.min_scalar_type(n - 1))
+    on_boundary = np.zeros(size, dtype=bool)
+    tied = np.empty(size, dtype=bool)
+    for j in range(1, n):
+        n_claimed += claimed
+        np.less_equal(ratios[j], bound, out=tied)
+        on_boundary |= tied & claimed
+        claimed |= tied
+    np.subtract(n - 1, n_claimed, out=n_claimed)
+    return n_claimed.astype(np.intp), on_boundary
+
+
+def boundary_points(x, size, seed):
+    """`size` points t*x + (1 - t)*v with v a uniform point on the outcomes
+    outside a random set S of at least two positive-weight outcomes: the
+    ratios of S tie at t, so every point lies on a region boundary, and
+    when S holds every positive weight the point is x itself."""
+    rng = np.random.default_rng(seed)
+    positive = np.flatnonzero(x.coords > 0)
+    rows = np.empty((size, x.n_outcomes))
+    for row in rows:
+        tied = rng.choice(positive, rng.integers(2, len(positive) + 1), replace=False)
+        rest = np.setdiff1d(np.arange(x.n_outcomes), tied)
+        v = np.zeros(x.n_outcomes)
+        v[rest] = rng.dirichlet(np.ones(len(rest))) if len(rest) else 0.0
+        t = rng.random() if len(rest) else 1.0
+        row[:] = t * x.coords + (1 - t) * v
+    return rows
+
+
+# each N's state, and states with one and with two zero weights
+ORACLE_STATES = {
+    **{
+        f"n{n}": np.random.default_rng(n).dirichlet(np.ones(n))
+        for n in (2, 3, 4, 6, 8, 300)
+    },
+    "one-zero": [0.05, 0.1, 0.0, 0.25, 0.3, 0.3],
+    "two-zeros": [0.0, 0.3, 0.2, 0.0, 0.5],
+    "two-zeros-n4": [0.4, 0.0, 0.6, 0.0],
+}
+
+
+@pytest.mark.parametrize("state", ORACLE_STATES.values(), ids=ORACLE_STATES)
+class TestClassifyBatchOracle:
+    """The whole-batch classification against the per-outcome loop, with
+    every floating-point exception raised, so a divide by a zero weight
+    fails the test."""
+
+    def check(self, lams, x):
+        with np.errstate(all="raise"):
+            want = _classify_by_outcome(lams, x)
+            got = classify_batch(lams, x)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+        return got
+
+    def test_uniform_draws(self, state):
+        x = BarycentricState(state)
+        rng = np.random.default_rng(1)
+        lams = rng.dirichlet(np.ones(x.n_outcomes), size=2000)
+        self.check(lams, x)
+        # unnormalised rays and a strided view classify the same way
+        self.check(rng.standard_exponential((2000, x.n_outcomes)), x)
+        self.check(lams[::3], x)
+
+    def test_boundary_points(self, state):
+        x = BarycentricState(state)
+        lams = boundary_points(x, 500, seed=2)
+        _, on_boundary = self.check(lams, x)
+        assert on_boundary.all()
+        # x itself ties every positive weight
+        outcomes, on_boundary = self.check(np.tile(x.coords, (3, 1)), x)
+        assert outcomes.tolist() == [np.flatnonzero(x.coords)[0]] * 3
+        assert on_boundary.all() == (np.count_nonzero(x.coords) > 1)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_empty_and_one_row_batches(self, state, size):
+        x = BarycentricState(state)
+        lams = np.random.default_rng(3).dirichlet(np.ones(x.n_outcomes), size=size)
+        outcomes, on_boundary = self.check(lams, x)
+        assert len(outcomes) == len(on_boundary) == size
+
+    @pytest.mark.parametrize("row", UNRANKABLE_ROWS.values(), ids=UNRANKABLE_ROWS)
+    def test_unrankable_rows_still_raise(self, state, row):
+        # the row's entries go to the positive weights, whose ratios count
+        x = BarycentricState(state)
+        positive = np.flatnonzero(x.coords)
+        lams = np.tile(x.coords, (2, 1))
+        lams[1, positive] = np.resize(row, len(positive))
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError):
+                _classify_by_outcome(lams, x)
+            with pytest.raises(FloatingPointError, match="cannot rank"):
+                classify_batch(lams, x)
 
 
 # the breaking points of the pinned boundary stream: x ties three ways,
