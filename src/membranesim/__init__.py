@@ -51,14 +51,12 @@ from .simplex import (
     to_internal_coords,
 )
 from .universal import (
-    ElasticConfiguration1D,
     RecurrenceReport,
     binomial_identity_a,
     binomial_identity_b,
     identity_report,
     recurrence_step_check,
     theorem_report,
-    transition_probability_1d,
     universal_average_1d,
     universal_average_abstract,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "Density",
     "DiracLimitReport",
     "DiracMixtureDensity",
-    "ElasticConfiguration1D",
     "IntervalControl",
     "IntervalDensity",
     "NotAnalyticError",
@@ -105,7 +102,6 @@ __all__ = [
     "theorem_report",
     "to_internal_coords",
     "to_simplex_state",
-    "transition_probability_1d",
     "truncate",
     "universal_average_1d",
     "universal_average_abstract",

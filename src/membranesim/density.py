@@ -176,9 +176,6 @@ class CellularMask:
     def n_breakable(self) -> int:
         return sum(self.breakable)
 
-    def as_bits(self) -> int:
-        return sum(1 << i for i, b in enumerate(self.breakable) if b)
-
     def __str__(self) -> str:
         return "".join("b" if b else "u" for b in self.breakable)
 

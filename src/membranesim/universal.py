@@ -9,7 +9,9 @@ cells on the right pulls the state to the left end, hence
 
     P(i -> left | mask) = k_i / k,
 
-where k is the total breakable count. Averaging that over every nonzero
+where k is the total breakable count; one structure's value is
+`density.Cellular1DDensity.region_probabilities`, and this module only
+counts masks. Averaging that over every nonzero
 mask reproduces the all-breakable value (n - i)/n for every n, which is
 what makes the uniform average of all cellular structures behave like
 the uniformly breakable one.
@@ -51,8 +53,6 @@ from math import lcm, prod
 
 import numpy as np
 
-from .density import CellularMask
-
 #: guard on full-mask enumeration; one kernel pass over 2**40 masks takes
 #: 0.03-0.04 s with a 25 MiB peak, theorem_report(40) 0.35-0.7 s and
 #: theorem_report(24) 0.006-0.013 s (2 vCPU, numpy 2.4.6)
@@ -78,45 +78,9 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ElasticConfiguration1D:
-    """An n-cell structure with the state at the contact point between
-    cells `position` and `position + 1`.
-
-    End positions are excluded: they are eigenstates, unaffected by a
-    measurement.
-    """
-
-    mask: CellularMask
-    position: int
-
-    def __post_init__(self):
-        if not 1 <= self.position <= self.mask.n_cells - 1:
-            raise ValueError(
-                f"position must be in 1..{self.mask.n_cells - 1}"
-            )
-
-
 def _check_target(target: str) -> None:
     if target not in ("left", "right"):
         raise ValueError("target must be 'left' or 'right'")
-
-
-def transition_probability_1d(
-    config: ElasticConfiguration1D, target: str = "left"
-) -> Fraction:
-    """Exact collapse probability of a single cellular configuration.
-
-    `target` is the end the state is pulled to: 'left' (end 0) or
-    'right' (end n). Breaks right of the contact point pull left, so
-    P(left) counts breakable cells right of the position.
-    """
-    _check_target(target)
-    bits = config.mask.as_bits()
-    k = config.mask.n_breakable
-    k_right = (bits >> config.position).bit_count()
-    p_left = Fraction(k_right, k)
-    return p_left if target == "left" else 1 - p_left
 
 
 def _mask_counts(

@@ -22,11 +22,9 @@ from membranesim.montecarlo import estimate, standard_error
 from membranesim.robustness import dirac_limit_demo, robustness_sweep
 from membranesim.simplex import BarycentricState
 from membranesim.universal import (
-    ElasticConfiguration1D,
     binomial_identity_a,
     binomial_identity_b,
     recurrence_step_check,
-    transition_probability_1d,
     universal_average_1d,
     universal_average_abstract,
 )
@@ -74,10 +72,11 @@ def test_criterion_3_two_cell_worked_example():
     """The three two-cell structures give 1/2, 1, 0 for the left end and
     average exactly 1/2."""
     with criterion("3 two-cell structures: 1/2, 1, 0, average 1/2"):
+        x = BarycentricState([Fraction(1, 2), Fraction(1, 2)])
         values = {
-            mask: transition_probability_1d(
-                ElasticConfiguration1D(CellularMask.from_string(mask), 1), "left"
-            )
+            mask: Cellular1DDensity(
+                CellularMask.from_string(mask)
+            ).region_probabilities(x)[1]
             for mask in ("bb", "ub", "bu")
         }
         assert values["bb"] == Fraction(1, 2)

@@ -53,7 +53,7 @@ class TestCellularMask:
         assert str(mask) == "bub"
         assert mask.n_cells == 3
         assert mask.n_breakable == 2
-        assert CellularMask.from_bits(mask.as_bits(), 3) == mask
+        assert CellularMask.from_bits(0b101, 3) == mask
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -307,6 +307,20 @@ class TestControlRegions:
         draws = UniformDensity(3).sample_batch(np.random.default_rng(4), 200_000)
         frac = 1.0 - ctrl.contains_batch(draws).mean()
         assert frac == pytest.approx(0.15, abs=4 * math.sqrt(0.15 * 0.85 / 200_000))
+
+    @pytest.mark.parametrize("n, epsilon", [(3, 0.1), (4, 0.1), (6, 0.01)])
+    def test_ball_radii_fill_the_ball_uniformly(self, n, epsilon):
+        # a uniform point of a d-ball lies within r R of its centre with
+        # probability r^d; radii R U instead crowd the centre
+        centre = BarycentricState(np.full(n, 1 / n))
+        ctrl = BallComplement([centre], epsilon)
+        size = 200_000
+        ys = ctrl.sample_breakable_batch(np.random.default_rng(30 + n), size)
+        dist = np.linalg.norm(ys - centre.coords, axis=1)
+        for r in (0.5, 0.8):
+            p = r ** (n - 1)
+            inside = np.mean(dist <= r * ctrl.radius)
+            assert abs(inside - p) <= 5 * math.sqrt(p * (1 - p) / size)
 
     @pytest.mark.parametrize(
         "build, message",

@@ -371,6 +371,14 @@ class TestEstimateUniversal:
         # outcome 2 is the left end (vertex with first coordinate zero)
         assert abs(est.probabilities[1] - exact) <= 4 * se
 
+    def test_off_the_cell_boundaries(self):
+        # x1 = 0.31 lies inside cell 7 of 20: cell midpoints would give
+        # 6/20 = 0.30, about 22 standard errors away
+        n_draws = 2**20
+        est = estimate_universal(BarycentricState([0.31, 0.69]), 20, n_draws, seed=1)
+        se = standard_error(0.31, n_draws)
+        assert abs(est.probabilities[0] - 0.31) <= 5 * se
+
     def test_single_cell_is_deterministic_at_the_end(self):
         est = estimate_universal(BarycentricState([0, 1]), 1, 5000, seed=2)
         assert est.probabilities.tolist() == [0.0, 1.0]

@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membranesim import universal
-from membranesim.density import CellularMask
+from membranesim.density import Cellular1DDensity, CellularMask, IntervalDensity
+from membranesim.simplex import BarycentricState
 from membranesim.universal import (
-    ElasticConfiguration1D,
     binomial_identity_a,
     binomial_identity_b,
     identity_report,
     recurrence_step_check,
     theorem_report,
-    transition_probability_1d,
     universal_average_1d,
     universal_average_abstract,
 )
@@ -95,37 +94,34 @@ def closed_form_field_counts(n, low, width):
     return counts
 
 
-def config(mask_text, i):
-    return ElasticConfiguration1D(CellularMask.from_string(mask_text), i)
+def probabilities(mask, i):
+    """One structure's collapse probabilities with the state at contact
+    point i, from Cellular1DDensity: [right end, left end]."""
+    n = mask.n_cells
+    x = BarycentricState([Fraction(i, n), Fraction(n - i, n)])
+    return Cellular1DDensity(mask).region_probabilities(x)
+
+
+def left(mask_text, i):
+    return probabilities(CellularMask.from_string(mask_text), i)[1]
 
 
 class TestTransitionProbability:
     def test_two_cell_worked_example(self):
-        assert transition_probability_1d(config("bb", 1), "left") == Fraction(1, 2)
-        assert transition_probability_1d(config("ub", 1), "left") == 1
-        assert transition_probability_1d(config("bu", 1), "left") == 0
-        assert transition_probability_1d(config("bu", 1), "right") == 1
+        assert left("bb", 1) == Fraction(1, 2)
+        assert left("ub", 1) == 1
+        assert left("bu", 1) == 0
+        assert probabilities(CellularMask.from_string("bu"), 1)[0] == 1
 
     def test_all_breakable_closed_form(self):
-        assert transition_probability_1d(config("bbbbb", 2), "left") == Fraction(3, 5)
+        assert left("bbbbb", 2) == Fraction(3, 5)
         for n in range(2, 10):
             for i in range(1, n):
-                c = config("b" * n, i)
-                assert transition_probability_1d(c, "left") == Fraction(n - i, n)
+                assert left("b" * n, i) == Fraction(n - i, n)
 
     def test_mixed_mask_direct_count(self):
         # one breakable cell right of position 1 (cell 3), two in total
-        assert transition_probability_1d(config("bubu", 1), "left") == Fraction(1, 2)
-
-    def test_position_bounds(self):
-        with pytest.raises(ValueError):
-            config("bb", 0)
-        with pytest.raises(ValueError):
-            config("bb", 2)
-
-    def test_bad_target(self):
-        with pytest.raises(ValueError):
-            transition_probability_1d(config("bb", 1), "up")
+        assert left("bubu", 1) == Fraction(1, 2)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -133,18 +129,51 @@ class TestTransitionProbability:
         n = data.draw(st.integers(2, 12))
         bits = data.draw(st.integers(1, 2**n - 1))
         i = data.draw(st.integers(1, n - 1))
-        c = ElasticConfiguration1D(CellularMask.from_bits(bits, n), i)
-        left = transition_probability_1d(c, "left")
-        right = transition_probability_1d(c, "right")
-        assert left + right == 1
+        right, left_end = probabilities(CellularMask.from_bits(bits, n), i)
+        assert left_end + right == 1
 
     def test_all_breakable_monotone_in_position(self):
         n = 9
-        values = [
-            transition_probability_1d(config("b" * n, i), "left")
-            for i in range(1, n)
-        ]
+        values = [left("b" * n, i) for i in range(1, n)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+#: states inside a cell for most n, where the per-cell shares are partial
+OFF_LATTICE = (Fraction(31, 100), Fraction(2, 7), Fraction(1, 3))
+
+
+def outcome_1_average(densities, x1):
+    """Exact average of outcome 1's collapse probability over the
+    densities, at the state (x1, 1 - x1)."""
+    x = BarycentricState([x1, 1 - x1])
+    values = [rho.region_probabilities(x)[0] for rho in densities]
+    return sum(values, Fraction(0)) / len(values)
+
+
+class TestTheoremOffLattice:
+    """The average over every nonzero mask equals x1 at any rational
+    state, not only at the cell boundaries x1 = i/n that the enumeration
+    kernel covers."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equal_cells_average_to_the_state(self, n):
+        densities = [
+            Cellular1DDensity(CellularMask.from_bits(b, n)) for b in range(1, 1 << n)
+        ]
+        for x1 in OFF_LATTICE:
+            assert outcome_1_average(densities, x1) == x1
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_unequal_cells_do_not(self, n):
+        # negative control: cells 1 and 2 of n merged into one of double length
+        edges = [Fraction(0)] + [Fraction(j, n) for j in range(2, n + 1)]
+        cells = list(zip(edges, edges[1:]))
+        densities = [
+            IntervalDensity([c for j, c in enumerate(cells) if b >> j & 1])
+            for b in range(1, 1 << len(cells))
+        ]
+        for x1 in OFF_LATTICE:
+            assert outcome_1_average(densities, x1) != x1
 
 
 class TestUniversalAverage:
@@ -165,6 +194,10 @@ class TestUniversalAverage:
 
     def test_right_target(self):
         assert universal_average_1d(4, 1, "right") == Fraction(1, 4)
+
+    def test_bad_target(self):
+        with pytest.raises(ValueError, match="target"):
+            universal_average_1d(2, 1, "up")
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
