@@ -11,8 +11,8 @@ expose exact region integrals, every variant exposes sampling.
 On the two-outcome segment every breakable zone, cellular or left by a
 control region, is a union of x1 intervals, and one `IntervalDensity`
 with Fraction endpoints validates, samples and integrates it exactly.
-Truncation covers the uniform density, through a control region's
-direct sampler, and Dirac mixtures; there is no rejection fallback.
+Only the uniform density truncates, through a control region's direct
+sampler; there is no rejection fallback.
 
 Orientation of the two-outcome segment: positions are tracked by the
 first barycentric coordinate x1 in [0, 1], growing from vertex 2 (left
@@ -395,11 +395,6 @@ class ControlRegion(abc.ABC):
         self.epsilon = float(epsilon)
 
     @abc.abstractmethod
-    def contains_batch(self, ys: np.ndarray) -> np.ndarray:
-        """Mask of points (rows of barycentric coordinates) lying in the
-        unbreakable control region."""
-
-    @abc.abstractmethod
     def sample_breakable_batch(self, rng, size) -> np.ndarray:
         """Draw `size` points uniformly from the breakable zone, as rows
         of barycentric coordinates."""
@@ -424,10 +419,6 @@ class CentroidNeighborhood(ControlRegion):
     def __init__(self, n_outcomes: int, epsilon: float):
         super().__init__(n_outcomes, epsilon)
         self._t = self.epsilon ** (1.0 / (n_outcomes - 1))
-        self._threshold = (1.0 - self._t) / n_outcomes
-
-    def contains_batch(self, ys):
-        return ys.min(axis=1) < self._threshold
 
     def sample_breakable_batch(self, rng, size):
         n = self.n_outcomes
@@ -476,7 +467,7 @@ class BallComplement(ControlRegion):
         ball_volume = self.epsilon / len(centers) * simplex_measure(n)
         unit_volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
         self.radius = (ball_volume / unit_volume) ** (1.0 / d)
-        self._centers_arr = np.array([c.coords for c in centers])
+        coords = np.array([c.coords for c in centers])
         self._centers_z = np.array([to_internal_coords(c) for c in centers])
         face_scale = math.sqrt(1.0 - 1.0 / n)
         for c in centers:
@@ -486,15 +477,9 @@ class BallComplement(ControlRegion):
                 )
         for a in range(len(centers)):
             for b in range(a + 1, len(centers)):
-                gap = np.linalg.norm(self._centers_arr[a] - self._centers_arr[b])
+                gap = np.linalg.norm(coords[a] - coords[b])
                 if gap <= 2.0 * self.radius:
                     raise ValueError("breakable balls overlap at this epsilon")
-
-    def contains_batch(self, ys):
-        dists = np.linalg.norm(
-            ys[:, None, :] - self._centers_arr[None, :, :], axis=2
-        )
-        return dists.min(axis=1) > self.radius
 
     def sample_breakable_batch(self, rng, size):
         d = self.n_outcomes - 1
@@ -530,18 +515,6 @@ class IntervalControl(ControlRegion):
         self._zone = IntervalDensity(breakable)
         super().__init__(2, self._zone.length)
 
-    @classmethod
-    def cut_left(cls, epsilon: float) -> "IntervalControl":
-        """Half-space cut: the leftmost fraction 1 - epsilon is controlled."""
-        return cls([(1.0 - epsilon, 1.0)])
-
-    def contains_batch(self, ys):
-        x1 = ys[:, 0]
-        inside_breakable = np.zeros(len(ys), dtype=bool)
-        for lo, hi in self._zone.intervals:
-            inside_breakable |= (x1 >= float(lo)) & (x1 <= float(hi))
-        return ~inside_breakable
-
     def sample_breakable_batch(self, rng, size):
         return self._zone.sample_batch(rng, size)
 
@@ -576,9 +549,8 @@ def truncate(rho: Density, control: ControlRegion) -> Density:
     """Zero out `rho` on the control region and renormalise.
 
     With epsilon = 1 the control region is empty and `rho` is returned
-    unchanged. Only uniform densities and Dirac mixtures truncate; any
-    other density, or a control region absorbing all of a Dirac
-    mixture's mass (degenerate truncation), raises ValueError.
+    unchanged. Otherwise only a uniform density truncates, to a
+    `TruncatedUniformDensity`; any other density raises ValueError.
     """
     if rho.n_outcomes != control.n_outcomes:
         raise ValueError("control region dimension does not match density")
@@ -586,19 +558,9 @@ def truncate(rho: Density, control: ControlRegion) -> Density:
         return rho
     if isinstance(rho, UniformDensity):
         return TruncatedUniformDensity(control)
-    if isinstance(rho, DiracMixtureDensity):
-        ys = np.array([p.coords for p in rho.points])
-        keep = ~control.contains_batch(ys)
-        if not keep.any():
-            raise ValueError(
-                "degenerate truncation: the control region absorbs all mass"
-            )
-        points = [p for p, k in zip(rho.points, keep) if k]
-        weights = [w for w, k in zip(rho.weights, keep) if k]
-        return DiracMixtureDensity(points, weights)
     raise ValueError(
-        f"cannot truncate {type(rho).__name__}: only uniform densities and "
-        "Dirac mixtures have a truncation"
+        f"cannot truncate {type(rho).__name__}: only uniform densities "
+        "have a truncation"
     )
 
 
@@ -778,9 +740,8 @@ def cellular_approximation(target_cdf, m: int, ell: int) -> Cellular1DDensity:
         prev = cur
     if abs(sum(masses) - 1.0) > 1e-9:
         raise ValueError("target_cdf must increase from 0 to 1 on [0, 1]")
+    # the masses sum to 1 within 1e-9, so the largest is positive
     p_max = max(masses)
-    if p_max <= 0.0:
-        raise ValueError("target density has no mass")
     bits: list[bool] = []
     for p in masses:
         count = round(ell * p / p_max)

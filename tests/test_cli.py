@@ -860,6 +860,17 @@ class TestConfigFile:
         assert captured.out == ""
         assert "'config'" in captured.err
 
+    @pytest.mark.parametrize(
+        "content", [[], ["state", "0.5,0.5"], "state", 1, None], ids=repr
+    )
+    def test_a_config_that_is_not_a_json_object(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        assert run_cli(SIMULATE + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config file must hold a JSON object" in captured.err
+
     def test_missing_required_option(self, capsys):
         assert run_cli(["universal-exact", "--position", "2"]) == 2
         captured = capsys.readouterr()

@@ -185,7 +185,7 @@ class TestDiracMixture:
 SAMPLER_CASES = [
     lambda: (UniformDensity(3), 3),
     lambda: (Cellular1DDensity(CellularMask.from_string("bubb")), 2),
-    lambda: (TruncatedUniformDensity(IntervalControl.cut_left(0.5)), 2),
+    lambda: (TruncatedUniformDensity(IntervalControl([(1.0 - 0.5, 1.0)])), 2),
     lambda: (TruncatedUniformDensity(CentroidNeighborhood(2, 0.4)), 2),
     lambda: (
         DiracMixtureDensity(
@@ -231,7 +231,7 @@ class TestTruncation:
 
     def test_left_cut_matches_piecewise_integration(self):
         eps = 0.5
-        rho = truncate(UniformDensity(2), IntervalControl.cut_left(eps))
+        rho = truncate(UniformDensity(2), IntervalControl([(1.0 - eps, 1.0)]))
         for x1 in (0.55, 0.75, 0.9, 1.0):
             x = BarycentricState([x1, 1.0 - x1])
             expected = max(0.0, x1 - (1.0 - eps)) / eps
@@ -260,19 +260,18 @@ class TestTruncation:
         assert spreads[0] > spreads[1] > spreads[2]
         assert spreads[2] < 0.05
 
-    def test_dirac_truncation_renormalises(self):
-        pts = [BarycentricState([0.2, 0.8]), BarycentricState([0.9, 0.1])]
-        rho = truncate(DiracMixtureDensity(pts), IntervalControl([(0.85, 0.95)]))
-        assert len(rho.points) == 1
-        assert rho.weights == (Fraction(1),)
-
-    def test_degenerate_truncation_errors(self):
-        pts = [BarycentricState([0.2, 0.8])]
-        with pytest.raises(ValueError, match="degenerate"):
-            truncate(DiracMixtureDensity(pts), IntervalControl([(0.5, 0.6)]))
-
-    def test_other_densities_have_no_truncation(self):
-        base = Cellular1DDensity(CellularMask.from_string("bb"))
+    @pytest.mark.parametrize(
+        "base",
+        [
+            Cellular1DDensity(CellularMask.from_string("bb")),
+            # refused even with a point mass in the breakable zone
+            DiracMixtureDensity(
+                [BarycentricState([0.1, 0.9]), BarycentricState([0.6, 0.4])]
+            ),
+        ],
+        ids=["cellular", "dirac"],
+    )
+    def test_other_densities_have_no_truncation(self, base):
         with pytest.raises(ValueError, match="cannot truncate"):
             truncate(base, IntervalControl([(0.0, 0.25)]))
 
@@ -305,7 +304,9 @@ class TestControlRegions:
         pts = [BarycentricState([0.5, 0.3, 0.2]), BarycentricState([0.2, 0.5, 0.3])]
         ctrl = BallComplement(pts, 0.15)
         draws = UniformDensity(3).sample_batch(np.random.default_rng(4), 200_000)
-        frac = 1.0 - ctrl.contains_batch(draws).mean()
+        centres = np.array([p.coords for p in pts])
+        dists = np.linalg.norm(draws[:, None, :] - centres[None, :, :], axis=2)
+        frac = (dists.min(axis=1) <= ctrl.radius).mean()
         assert frac == pytest.approx(0.15, abs=4 * math.sqrt(0.15 * 0.85 / 200_000))
 
     @pytest.mark.parametrize("n, epsilon", [(3, 0.1), (4, 0.1), (6, 0.01)])
@@ -321,6 +322,34 @@ class TestControlRegions:
             p = r ** (n - 1)
             inside = np.mean(dist <= r * ctrl.radius)
             assert abs(inside - p) <= 5 * math.sqrt(p * (1 - p) / size)
+
+    @pytest.mark.parametrize("n, epsilon", [(3, 0.1), (4, 0.1), (6, 0.01)])
+    def test_ball_directions_are_isotropic(self, n, epsilon):
+        # a uniform direction u on the unit (d-1)-sphere has E[u_v^4] =
+        # 3/(d(d+2)) along any unit v; directions from a centred cube
+        # miss it along the cube's axes, one of which points at vertex 1
+        centre = BarycentricState(np.full(n, 1 / n))
+        ctrl = BallComplement([centre], epsilon)
+        ys = ctrl.sample_breakable_batch(np.random.default_rng(50 + n), 200_000)
+        v = np.eye(n)[0] - centre.coords
+        v /= np.linalg.norm(v)
+        offsets = ys - centre.coords
+        q = (offsets @ v / np.linalg.norm(offsets, axis=1)) ** 4
+        d = n - 1
+        se = q.std(ddof=1) / math.sqrt(len(q))
+        assert abs(q.mean() - 3 / (d * (d + 2))) <= 5 * se
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_centroid_draws_fill_the_zone_and_stay_in_it(self, n):
+        # the zone is {y : min_j y_j >= (1 - t)/N}, t = epsilon^(1/(N-1));
+        # its draws must also reach below the bound that t = epsilon gives
+        epsilon = 0.2
+        ctrl = CentroidNeighborhood(n, epsilon)
+        ys = ctrl.sample_breakable_batch(np.random.default_rng(70 + n), 200_000)
+        lowest = ys.min(axis=1)
+        t = epsilon ** (1 / (n - 1))
+        assert lowest.min() >= (1 - t) / n - 1e-12
+        assert lowest.min() < (1 - epsilon) / n - 1e-12
 
     @pytest.mark.parametrize(
         "build, message",
@@ -383,6 +412,109 @@ class TestControlRegions:
         c1 = half if end == "left" else 1 - half
         with pytest.raises(ValueError, match="leaves the simplex"):
             BallComplement([BarycentricState([c1, 1 - c1])], 0.3)
+
+
+@pytest.mark.parametrize(
+    "rho, n",
+    [(density_from_spec("cellular1d:" + "bub" * 40), 120), (_RandomMaskDensity(20), 20)],
+    ids=["cellular1d bub x40", "mask sampler 20 cells"],
+)
+def test_draws_are_uniform_within_their_cells(rho, n):
+    # frac(n x1), the position of a draw inside its cell, is uniform on
+    # [0, 1); cell midpoints put every draw in one bin, u^2 crowds bin 0
+    size = 2**20
+    x1 = rho.sample_batch(np.random.default_rng(60 + n), size)[:, 0]
+    inside = np.modf(x1 * n)[0]
+    observed = np.bincount((inside * 16).astype(np.intp), minlength=16)
+    assert len(observed) == 16
+    chi2 = ((observed - size / 16) ** 2 / (size / 16)).sum()
+    assert stats.chi2.sf(chi2, 15) > 1e-4
+
+
+def _two(x1):
+    return BarycentricState([x1, 1 - x1])
+
+
+#: inputs the density module rejects, by name: (call, error, message)
+DENSITY_REJECTIONS = {
+    "empty mask": (lambda: CellularMask(()), ValueError, "at least one cell"),
+    "one-outcome uniform": (lambda: UniformDensity(1), ValueError, "two outcomes"),
+    "no intervals": (
+        lambda: IntervalDensity([]), ValueError, "at least one breakable interval"
+    ),
+    "dirac without points": (
+        lambda: DiracMixtureDensity([]), ValueError, "at least one support point"
+    ),
+    "dirac of mixed dimensions": (
+        lambda: DiracMixtureDensity([_two(0.5), BarycentricState([0.2, 0.3, 0.5])]),
+        ValueError,
+        "share a dimension",
+    ),
+    "dirac weight count": (
+        lambda: DiracMixtureDensity([_two(0.5)], weights=[1, 2]),
+        ValueError,
+        "one weight per support point",
+    ),
+    "dirac all-zero weights": (
+        lambda: DiracMixtureDensity([_two(0.5), _two(0.2)], weights=[0, 0]),
+        ValueError,
+        "not all zero",
+    ),
+    "balls without centres": (
+        lambda: BallComplement([], 0.1), ValueError, "at least one ball centre"
+    ),
+    "balls of mixed dimensions": (
+        lambda: BallComplement([_two(0.5), BarycentricState([0.3, 0.3, 0.4])], 0.1),
+        ValueError,
+        "share a dimension",
+    ),
+    "ball intervals at three outcomes": (
+        lambda: BallComplement(
+            [BarycentricState([1 / 3] * 3)], 0.1
+        ).breakable_intervals(),
+        NotAnalyticError,
+        "two outcomes",
+    ),
+    "one-outcome grid": (
+        lambda: CellularGridDensity(1, 4), ValueError, "two outcomes"
+    ),
+    "grid resolution 0": (
+        lambda: CellularGridDensity(3, 0), ValueError, "resolution must be positive"
+    ),
+    "all-false grid mask": (
+        lambda: CellularGridDensity(3, 2, [False] * 4),
+        ValueError,
+        "at least one breakable cell",
+    ),
+    # cells 7 and 9 of the N = 3, r = 3 grid lie outside the simplex
+    "grid breakable only outside the simplex": (
+        lambda: CellularGridDensity(3, 3, [i in (6, 8) for i in range(9)]),
+        ValueError,
+        "no breakable cell intersects the simplex",
+    ),
+    "approximation with no blocks": (
+        lambda: cellular_approximation(lambda u: u, 0, 4),
+        ValueError,
+        "m and ell must be positive",
+    ),
+    "massless approximation target": (
+        lambda: cellular_approximation(lambda u: 0.0, 4, 4),
+        ValueError,
+        "increase from 0 to 1",
+    ),
+    "truncation across dimensions": (
+        lambda: truncate(UniformDensity(3), CentroidNeighborhood(2, 0.5)),
+        ValueError,
+        "dimension does not match",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_REJECTIONS))
+def test_bad_inputs_are_rejected(case):
+    call, error, message = DENSITY_REJECTIONS[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestCellularApproximation:

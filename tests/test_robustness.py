@@ -213,6 +213,33 @@ class TestSweepValidation:
             robustness_sweep(x, [0.01, -0.01], [1.5])
 
 
+ROBUSTNESS_REJECTIONS = {
+    "perturbation of the wrong length": (
+        lambda: perturb_state(BarycentricState([0.5, 0.5]), [0.1, -0.1, 0.0]),
+        "perturbation dimension does not match",
+    ),
+    "outcome 0": (
+        lambda: robustness_sweep(
+            BarycentricState([0.5, 0.5]), [0.01, -0.01], [0.5], outcome=0
+        ),
+        "outcome must be in 1..2",
+    ),
+    "unknown method": (
+        lambda: robustness_sweep(
+            BarycentricState([0.5, 0.5]), [0.01, -0.01], [0.5], method="x"
+        ),
+        "method must be 'analytic' or 'mc'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROBUSTNESS_REJECTIONS))
+def test_bad_inputs_are_rejected(case):
+    call, message = ROBUSTNESS_REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestDiracLimit:
     def test_two_points_in_distinct_regions(self):
         x = BarycentricState([1 / 3, 1 / 3, 1 / 3])

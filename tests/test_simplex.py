@@ -570,6 +570,21 @@ class TestRegionLabel:
         assert RegionLabel((1, 3)).outcome == 1
 
 
+SIMPLEX_REJECTIONS = {
+    "one-outcome basis": (lambda: internal_basis(1), "two outcomes"),
+    "repeated boundary index": (
+        lambda: RegionLabel((1, 1)), "boundary labels need distinct indices"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMPLEX_REJECTIONS))
+def test_bad_inputs_are_rejected(case):
+    call, message = SIMPLEX_REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.slow
 def test_region_oracle_agreement_bulk():
     """The ratio rule and the hull-feasibility oracle agree on every

@@ -123,14 +123,18 @@ class TestTransitionProbability:
         # one breakable cell right of position 1 (cell 3), two in total
         assert left("bubu", 1) == Fraction(1, 2)
 
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_complementarity(self, data):
-        n = data.draw(st.integers(2, 12))
-        bits = data.draw(st.integers(1, 2**n - 1))
-        i = data.draw(st.integers(1, n - 1))
-        right, left_end = probabilities(CellularMask.from_bits(bits, n), i)
-        assert left_end + right == 1
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_complementarity(self, n):
+        # counted from the mask text: a break in cells 1..i sends the state
+        # to the right end, one in cells i+1..n to the left end
+        for bits in range(1, 2**n):
+            mask = CellularMask.from_bits(bits, n)
+            text = str(mask)
+            k = text.count("b")
+            for i in range(n + 1):
+                right, left_end = probabilities(mask, i)
+                assert right == Fraction(text[:i].count("b"), k)
+                assert left_end == Fraction(text[i:].count("b"), k)
 
     def test_all_breakable_monotone_in_position(self):
         n = 9
@@ -562,3 +566,19 @@ class TestReports:
         report = identity_report(12)
         assert all(r["equal_a"] and r["equal_b"] for r in report["rows"])
         assert report["rows"][3]["lhs_a"] == "17/4"
+
+
+UNIVERSAL_REJECTIONS = {
+    "one cell": (
+        lambda: universal_average_1d(1, 1), "at least two cells for an interior"
+    ),
+    "identity a below 0": (lambda: binomial_identity_a(-1), "n must be non-negative"),
+    "identity b below 0": (lambda: binomial_identity_b(-1), "n must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIVERSAL_REJECTIONS))
+def test_bad_inputs_are_rejected(case):
+    call, message = UNIVERSAL_REJECTIONS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
