@@ -1,6 +1,6 @@
 """Check that every catalogued mutant is killed by the tests it names.
 
-Usage: python mutants/run.py [NAME ...]
+Usage: python mutants/run.py
 
 `catalogue.json` lists mutants of the package source. Each entry gives
 a `name`, a `file` relative to the repository root, an `old` text that
@@ -13,10 +13,9 @@ must pass. Then it applies one mutant at a time to the copy, runs that
 mutant's tests, and restores the file. A mutant is killed when pytest
 reports a failing test (exit status 1). It survives when the tests
 pass, and it is broken when pytest ends any other way, for instance on
-an import error. Names on the command line select entries; with none,
-every entry runs. Only the standard library is used.
+an import error. Only the standard library is used.
 
-Exit status: 0 when every selected mutant is killed, 1 otherwise, 2
+Exit status: 0 when every mutant is killed, 1 otherwise, 2
 when the catalogue does not apply to the source.
 """
 
@@ -39,17 +38,12 @@ COPIED = ("src", "tests", "pyproject.toml")
 TESTS_FAILED = 1
 
 
-def load(names: list[str]) -> list[dict]:
-    """The selected entries, each checked against the source it mutates."""
+def load() -> list[dict]:
+    """Every entry, each checked against the source it mutates."""
     entries = json.loads(CATALOGUE.read_text())
-    known = {e["name"] for e in entries}
-    unknown = sorted(set(names) - known)
-    if unknown:
-        raise ValueError(f"unknown mutants: {unknown}")
-    if len(known) != len(entries):
+    if len({e["name"] for e in entries}) != len(entries):
         raise ValueError("mutant names must be unique")
-    selected = [e for e in entries if not names or e["name"] in names]
-    for e in selected:
+    for e in entries:
         found = (ROOT / e["file"]).read_text().count(e["old"])
         if found != 1:
             raise ValueError(
@@ -57,7 +51,7 @@ def load(names: list[str]) -> list[dict]:
             )
         if not e["tests"]:
             raise ValueError(f"{e['name']}: names no test that must kill it")
-    return selected
+    return entries
 
 
 def run(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -75,9 +69,9 @@ def pytest(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
     return run(tree, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests)
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     try:
-        entries = load(argv)
+        entries = load()
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -124,4 +118,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

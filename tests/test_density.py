@@ -351,24 +351,6 @@ class TestControlRegions:
         assert lowest.min() >= (1 - t) / n - 1e-12
         assert lowest.min() < (1 - epsilon) / n - 1e-12
 
-    @pytest.mark.parametrize(
-        "build, message",
-        [
-            (lambda: CentroidNeighborhood(1, 0.5), "two outcomes"),
-            (lambda: CentroidNeighborhood(3, 0.0), "epsilon"),
-            (lambda: CentroidNeighborhood(3, 1.5), "epsilon"),
-            (lambda: BallComplement([BarycentricState([0.5, 0.5])], 0.0), "epsilon"),
-            (lambda: BallComplement([BarycentricState([0.5, 0.5])], 2.0), "epsilon"),
-            # the dimension is checked first, as in the base class
-            (lambda: CentroidNeighborhood(1, 2.0), "two outcomes"),
-        ],
-    )
-    def test_outcomes_and_epsilon_are_checked_for_every_geometry(
-        self, build, message
-    ):
-        with pytest.raises(ValueError, match=message):
-            build()
-
     def test_interval_epsilon_is_its_exact_length_rounded_once(self):
         ctrl = IntervalControl([(Fraction(1, 10), Fraction(1, 5)), (0.5, 0.7)])
         assert ctrl.epsilon == float(Fraction(1, 10) + Fraction(0.7) - Fraction(0.5))
@@ -459,6 +441,25 @@ DENSITY_REJECTIONS = {
         lambda: DiracMixtureDensity([_two(0.5), _two(0.2)], weights=[0, 0]),
         ValueError,
         "not all zero",
+    ),
+    "one-outcome centroid zone": (
+        lambda: CentroidNeighborhood(1, 0.5), ValueError, "two outcomes"
+    ),
+    "centroid epsilon 0": (
+        lambda: CentroidNeighborhood(3, 0.0), ValueError, "epsilon"
+    ),
+    "centroid epsilon above 1": (
+        lambda: CentroidNeighborhood(3, 1.5), ValueError, "epsilon"
+    ),
+    # the dimension is checked first, as in the base class
+    "one-outcome centroid zone with a bad epsilon": (
+        lambda: CentroidNeighborhood(1, 2.0), ValueError, "two outcomes"
+    ),
+    "ball epsilon 0": (
+        lambda: BallComplement([_two(0.5)], 0.0), ValueError, "epsilon"
+    ),
+    "ball epsilon above 1": (
+        lambda: BallComplement([_two(0.5)], 2.0), ValueError, "epsilon"
     ),
     "balls without centres": (
         lambda: BallComplement([], 0.1), ValueError, "at least one ball centre"

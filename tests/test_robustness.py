@@ -204,15 +204,6 @@ def test_paired_sweep_matches_the_analytic_sweep_on_the_readme_grid():
         assert abs(measured - want) <= 5 * err
 
 
-class TestSweepValidation:
-    def test_epsilon_range(self):
-        x = BarycentricState([0.495, 0.505])
-        with pytest.raises(ValueError):
-            robustness_sweep(x, [0.01, -0.01], [0.0])
-        with pytest.raises(ValueError):
-            robustness_sweep(x, [0.01, -0.01], [1.5])
-
-
 ROBUSTNESS_REJECTIONS = {
     "perturbation of the wrong length": (
         lambda: perturb_state(BarycentricState([0.5, 0.5]), [0.1, -0.1, 0.0]),
@@ -233,11 +224,19 @@ ROBUSTNESS_REJECTIONS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(ROBUSTNESS_REJECTIONS))
-def test_bad_inputs_are_rejected(case):
-    call, message = ROBUSTNESS_REJECTIONS[case]
-    with pytest.raises(ValueError, match=message):
-        call()
+class TestSweepValidation:
+    def test_epsilon_range(self):
+        x = BarycentricState([0.495, 0.505])
+        with pytest.raises(ValueError):
+            robustness_sweep(x, [0.01, -0.01], [0.0])
+        with pytest.raises(ValueError):
+            robustness_sweep(x, [0.01, -0.01], [1.5])
+
+    @pytest.mark.parametrize("case", sorted(ROBUSTNESS_REJECTIONS))
+    def test_bad_inputs_are_rejected(self, case):
+        call, message = ROBUSTNESS_REJECTIONS[case]
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestDiracLimit:
