@@ -399,11 +399,9 @@ class ControlRegion(abc.ABC):
         """Draw `size` points uniformly from the breakable zone, as rows
         of barycentric coordinates."""
 
+    @abc.abstractmethod
     def breakable_intervals(self) -> list[tuple]:
         """Breakable zone as disjoint x1 intervals (two outcomes only)."""
-        raise NotAnalyticError(
-            f"{type(self).__name__} has no interval description"
-        )
 
 
 class CentroidNeighborhood(ControlRegion):
@@ -534,7 +532,6 @@ class TruncatedUniformDensity(Density):
     def __init__(self, control: ControlRegion):
         self.control = control
         self.n_outcomes = control.n_outcomes
-        self.epsilon = control.epsilon
 
     def sample_batch(self, rng, size):
         return self.control.sample_breakable_batch(rng, size)
@@ -545,23 +542,16 @@ class TruncatedUniformDensity(Density):
         return zone.region_probabilities(x)
 
 
-def truncate(rho: Density, control: ControlRegion) -> Density:
-    """Zero out `rho` on the control region and renormalise.
+def truncate(control: ControlRegion) -> Density:
+    """The uniform density zeroed on the control region and renormalised.
 
-    With epsilon = 1 the control region is empty and `rho` is returned
-    unchanged. Otherwise only a uniform density truncates, to a
-    `TruncatedUniformDensity`; any other density raises ValueError.
+    With epsilon = 1 the control region is empty, and the result is the
+    `UniformDensity` of the same N, so it draws the uniform stream; any
+    smaller epsilon gives a `TruncatedUniformDensity`.
     """
-    if rho.n_outcomes != control.n_outcomes:
-        raise ValueError("control region dimension does not match density")
     if control.epsilon >= 1.0:
-        return rho
-    if isinstance(rho, UniformDensity):
-        return TruncatedUniformDensity(control)
-    raise ValueError(
-        f"cannot truncate {type(rho).__name__}: only uniform densities "
-        "have a truncation"
-    )
+        return UniformDensity(control.n_outcomes)
+    return TruncatedUniformDensity(control)
 
 
 class CellularGridDensity(Density):
@@ -808,24 +798,28 @@ def density_from_spec(spec, n_outcomes: int | None = None) -> Density:
     if kind == "grid":
         return CellularGridDensity(n_outcomes, values["resolution"], values["mask"])
     epsilon = float(values["epsilon"])
-    control = control_from_spec(values["control"], n_outcomes, epsilon)
-    return truncate(UniformDensity(n_outcomes), control)
+    return truncate(control_from_spec(values["control"], n_outcomes, epsilon))
 
 
 def control_from_spec(spec, n_outcomes: int, epsilon: float) -> ControlRegion:
-    """Build a control region from its tagged dictionary. An interval
-    region must have total breakable length `epsilon` within SUM_TOL."""
+    """Build a control region for an `n_outcomes` density from its tagged
+    dictionary. An interval region must have total breakable length
+    `epsilon` within SUM_TOL. A ball or interval region takes its N from
+    its own points, and that N must be `n_outcomes`."""
     kind, values = _read_spec(spec, "control region", _CONTROL_KEYS)
     if kind == "centroid":
         return CentroidNeighborhood(n_outcomes, epsilon)
     if kind == "balls":
-        return BallComplement([BarycentricState(c) for c in values["centers"]], epsilon)
-    control = IntervalControl(values["breakable"])
-    if abs(control.epsilon - epsilon) > SUM_TOL:
-        raise ValueError(
-            f"epsilon {epsilon!r} disagrees with the breakable length "
-            f"{control.epsilon!r} of the intervals"
-        )
+        control = BallComplement([BarycentricState(c) for c in values["centers"]], epsilon)
+    else:
+        control = IntervalControl(values["breakable"])
+        if abs(control.epsilon - epsilon) > SUM_TOL:
+            raise ValueError(
+                f"epsilon {epsilon!r} disagrees with the breakable length "
+                f"{control.epsilon!r} of the intervals"
+            )
+    if control.n_outcomes != n_outcomes:
+        raise ValueError("control region dimension does not match density")
     return control
 
 

@@ -28,10 +28,6 @@ class QuantumState:
     def from_amplitudes(cls, amplitudes) -> "QuantumState":
         return cls(np.abs(np.asarray(amplitudes, dtype=complex)) ** 2)
 
-    @property
-    def n_outcomes(self) -> int:
-        return self.moduli_sq.size
-
     def __repr__(self) -> str:
         return f"QuantumState(moduli_sq={self.moduli_sq!r})"
 

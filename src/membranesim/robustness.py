@@ -39,7 +39,6 @@ from .density import (
     CentroidNeighborhood,
     DiracMixtureDensity,
     TruncatedUniformDensity,
-    UniformDensity,
     truncate,
 )
 from .montecarlo import estimate
@@ -134,9 +133,7 @@ def robustness_sweep(
     epsilon_tilde = CentroidNeighborhood.min_epsilon_covering([x, x_moved])
 
     grid = [float(e) for e in epsilon_grid]
-    densities = [
-        truncate(UniformDensity(n), CentroidNeighborhood(n, e)) for e in grid
-    ]
+    densities = [truncate(CentroidNeighborhood(n, e)) for e in grid]
     measured, predicted, errors = [], [], []
     for idx, (eps, density) in enumerate(zip(grid, densities)):
         if method == "analytic":

@@ -226,12 +226,31 @@ def test_sampler_matches_analytic_integrals_bulk(case):
 
 class TestTruncation:
     def test_epsilon_one_is_identity(self):
-        rho = UniformDensity(3)
-        assert truncate(rho, CentroidNeighborhood(3, 1.0)) is rho
+        rho = truncate(CentroidNeighborhood(3, 1.0))
+        assert type(rho) is UniformDensity and rho.n_outcomes == 3
+
+    # an empty control region keeps the uniform stream, end to end
+    @pytest.mark.parametrize(
+        "n, control",
+        [
+            (2, {"type": "centroid"}),
+            (3, {"type": "centroid"}),
+            (2, {"type": "intervals", "breakable": [[0, 1]]}),
+            (2, {"type": "balls", "centers": [[0.5, 0.5]]}),
+        ],
+        ids=["centroid-2", "centroid-3", "intervals", "balls"],
+    )
+    def test_epsilon_one_draws_the_uniform_stream(self, n, control):
+        spec = {"type": "truncated-uniform", "epsilon": 1, "control": control}
+        x = BarycentricState([0.2, 0.3, 0.5] if n == 3 else [0.4, 0.6])
+        got = estimate(x, density_from_spec(spec, n), 100_003, seed=7)
+        want = estimate(x, UniformDensity(n), 100_003, seed=7)
+        assert got.counts.tolist() == want.counts.tolist()
+        assert got.boundary_hits == want.boundary_hits
 
     def test_left_cut_matches_piecewise_integration(self):
         eps = 0.5
-        rho = truncate(UniformDensity(2), IntervalControl([(1.0 - eps, 1.0)]))
+        rho = truncate(IntervalControl([(1.0 - eps, 1.0)]))
         for x1 in (0.55, 0.75, 0.9, 1.0):
             x = BarycentricState([x1, 1.0 - x1])
             expected = max(0.0, x1 - (1.0 - eps)) / eps
@@ -254,26 +273,11 @@ class TestTruncation:
         lam = BarycentricState([0.45, 0.3, 0.25])
         spreads = []
         for eps in (0.3, 0.05, 0.005):
-            rho = truncate(UniformDensity(3), BallComplement([lam], eps))
+            rho = truncate(BallComplement([lam], eps))
             draws = rho.sample_batch(np.random.default_rng(3), 2000)
             spreads.append(np.linalg.norm(draws - lam.coords, axis=1).max())
         assert spreads[0] > spreads[1] > spreads[2]
         assert spreads[2] < 0.05
-
-    @pytest.mark.parametrize(
-        "base",
-        [
-            Cellular1DDensity(CellularMask.from_string("bb")),
-            # refused even with a point mass in the breakable zone
-            DiracMixtureDensity(
-                [BarycentricState([0.1, 0.9]), BarycentricState([0.6, 0.4])]
-            ),
-        ],
-        ids=["cellular", "dirac"],
-    )
-    def test_other_densities_have_no_truncation(self, base):
-        with pytest.raises(ValueError, match="cannot truncate"):
-            truncate(base, IntervalControl([(0.0, 0.25)]))
 
 
 class TestControlRegions:
@@ -504,9 +508,34 @@ DENSITY_REJECTIONS = {
         "increase from 0 to 1",
     ),
     "truncation across dimensions": (
-        lambda: truncate(UniformDensity(3), CentroidNeighborhood(2, 0.5)),
+        lambda: density_from_spec(
+            {
+                "type": "truncated-uniform",
+                "epsilon": 0.5,
+                "control": {"type": "intervals", "breakable": [[0, 0.5]]},
+            },
+            3,
+        ),
         ValueError,
-        "dimension does not match",
+        "control region dimension does not match density",
+    ),
+    "epsilon spelt as a JSON boolean": (
+        lambda: density_from_spec(
+            {"type": "truncated-uniform", "epsilon": True, "control": {"type": "centroid"}},
+            3,
+        ),
+        ValueError,
+        "'epsilon' must be a number",
+    ),
+    "state of another dimension": (
+        lambda: UniformDensity(3).region_probabilities(BarycentricState([0.5, 0.5])),
+        ValueError,
+        "state dimension does not match the density",
+    ),
+    "region integral of a sampling-only density": (
+        lambda: _RandomMaskDensity(4).region_probabilities(_two(0.5)),
+        NotAnalyticError,
+        "_RandomMaskDensity has no analytic region integral",
     ),
 }
 
@@ -1023,11 +1052,23 @@ class TestDensitySpec:
             3,
         )
         assert isinstance(rho, TruncatedUniformDensity)
-        assert rho.epsilon == 0.5
+        assert rho.control.epsilon == 0.5
 
     def test_grid(self):
         rho = density_from_spec({"type": "grid", "resolution": 4}, 3)
         assert isinstance(rho, CellularGridDensity)
+
+    def test_grid_mask_of_json_booleans_reads_as_its_flags(self):
+        bits = [1, 0, 1, 1, 1, 0, 1, 0, 0]
+        x = BarycentricState([0.2, 0.3, 0.5])
+
+        def run(mask):
+            spec = {"type": "grid", "resolution": 3, "mask": mask}
+            return estimate(x, density_from_spec(spec, 3), 100_000, seed=7)
+
+        ints, flags = run(bits), run([b == 1 for b in bits])
+        assert flags.counts.tolist() == ints.counts.tolist()
+        assert flags.boundary_hits == ints.boundary_hits
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from membranesim import robustness
-from membranesim.density import CentroidNeighborhood, UniformDensity, truncate
+from membranesim.density import CentroidNeighborhood, truncate
 from membranesim.montecarlo import estimate, standard_error
 from membranesim.robustness import (
     dirac_limit_demo,
@@ -172,8 +172,7 @@ class TestPairedSweep:
             zip(report.epsilon_grid, calls)
         ):
             assert args[0] is x and kwargs["paired"] is not x
-            n = x.n_outcomes
-            rho = truncate(UniformDensity(n), CentroidNeighborhood(n, eps))
+            rho = truncate(CentroidNeighborhood(x.n_outcomes, eps))
             seq = np.random.SeedSequence(self.SEED, spawn_key=(idx, 0))
             want = estimate(x, rho, self.N_SAMPLES, seq)
             assert est.first.to_json() == want.to_json()
