@@ -13,7 +13,10 @@ must pass. Then it applies one mutant at a time to the copy, runs that
 mutant's tests, and restores the file. A mutant is killed when pytest
 reports a failing test (exit status 1). It survives when the tests
 pass, and it is broken when pytest ends any other way, for instance on
-an import error. Only the standard library is used.
+an import error. Every pytest run starts with an empty Hypothesis
+database and draws from the seed HYPOTHESIS_SEED, so a verdict depends
+neither on luck nor on the catalogue's order. Only the standard
+library is used.
 
 Exit status: 0 when every mutant is killed, 1 otherwise, 2
 when the catalogue does not apply to the source.
@@ -36,6 +39,8 @@ CATALOGUE = Path(__file__).resolve().parent / "catalogue.json"
 COPIED = ("src", "tests", "pyproject.toml")
 #: pytest's exit status when a test failed
 TESTS_FAILED = 1
+#: the seed of every Hypothesis draw, so that a kill never depends on luck
+HYPOTHESIS_SEED = 0
 
 
 def load() -> list[dict]:
@@ -64,9 +69,11 @@ def run(tree: Path, *args: str) -> subprocess.CompletedProcess:
 
 
 def pytest(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
-    """Run `tests` in `tree`, with no cache written, stopping at the first
-    failure."""
-    return run(tree, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests)
+    """Run `tests` in `tree`, with no cache written, no saved Hypothesis
+    example and the fixed seed, stopping at the first failure."""
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
+    args = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")
+    return run(tree, *args, f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests)
 
 
 def main() -> int:

@@ -29,12 +29,13 @@ and counts each half once: one bincount over the low masks gives a
 table, one over the high prefixes counts the prefixes at each index,
 and each distinct prefix index adds the table at that offset, times
 its count. No binomial enters the counts. Integer dot products turn
-them into per-k integer sums S_k. Each exact sum, over S_k / k here and over the
-binomial terms of the identities, is one integer numerator over
-lcm(1..K), made into a single Fraction at the end. An identity's
+them into per-k integer sums S_k. Each exact sum, over S_k / k here and
+over the binomial terms of the identities, is one integer numerator
+over lcm(1..K), made into a single Fraction at the end. An identity's
 integer terms come in one pass, each from the one before it by the
-ratio of consecutive binomials. No float enters the enumeration or the
-reduction.
+ratio of consecutive binomials; identity_report carries lcm(1..n + 1)
+up its walk over n, and the module keeps no state between calls. No
+float enters the enumeration or the reduction.
 
 The kernel can also count masks by a field of `width` bits starting at
 `bit`. The theorem table uses that to serve every position of an n-cell
@@ -194,58 +195,44 @@ def universal_average_abstract(n_cells: int, cells_in_complement: int) -> Fracti
     return _per_k_total(sums) / (2**n - 1)
 
 
-#: the last n summed, its denominator lcm(1..n + 1) and its two sums
-_last_sums = (0, 1, (Fraction(0), Fraction(1)))
-
-
-def _binomial_sums(n: int) -> tuple[Fraction, Fraction]:
+def _binomial_sums(n: int, denominator: int) -> tuple[Fraction, Fraction]:
     """Exact sums of k C(n, k)/(k + 1) and of C(n, k)/(k + 1), k = 0..n,
-    each one integer numerator over L = lcm(1..n + 1). Term k + 1 of the
-    integers C(n, k) L/(k + 1) is term k times (n - k)/(k + 2), an exact
-    divide. The last n is kept, so both identities at one n share a pass,
-    and so is its L, which a larger n grows: identity_report walks n
-    upward and adds one factor per n."""
-    global _last_sums
-    last_n, denominator, sums = _last_sums
-    if n == last_n:
-        return sums
-    if n < last_n:
-        last_n, denominator = 0, 1
-    denominator = term = lcm(denominator, *range(last_n + 2, n + 2))
+    each one integer numerator over L = `denominator` = lcm(1..n + 1).
+    Term k + 1 of the integers C(n, k) L/(k + 1) is term k times
+    (n - k)/(k + 2), an exact divide. The caller owns L: identity_report
+    carries it up its walk over n, one factor per n, and every other
+    caller builds it from scratch."""
     weighted = plain = 0
+    term = denominator
     for k in range(n + 1):
         weighted += k * term
         plain += term
         term = term * (n - k) // (k + 2)
-    sums = Fraction(weighted, denominator), Fraction(plain, denominator)
-    _last_sums = (n, denominator, sums)
-    return sums
+    return Fraction(weighted, denominator), Fraction(plain, denominator)
 
 
-def binomial_identity_a(n: int) -> tuple[Fraction, Fraction]:
-    """Sum of k/(k+1) * C(n, k) versus its closed form (2**n (n-1) + 1)/(n+1).
-
-    The left side is summed term by term in `_binomial_sums`; the right
-    side is instantiated independently. A mismatch raises.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    lhs = _binomial_sums(n)[0]
-    rhs = Fraction((1 << n) * (n - 1) + 1, n + 1)
+def _identity(n: int, lhs: Fraction, which: int) -> tuple[Fraction, Fraction]:
+    """Identity a (which = 0) or b (which = 1) at n: its left side `lhs`
+    against its closed form, instantiated independently. A mismatch
+    raises."""
+    rhs = Fraction((1 << (n + 1)) - 1 if which else (1 << n) * (n - 1) + 1, n + 1)
     if lhs != rhs:
         raise ArithmeticError(f"identity failed at n={n}: {lhs} != {rhs}")
     return lhs, rhs
+
+
+def binomial_identity_a(n: int) -> tuple[Fraction, Fraction]:
+    """Sum of k/(k+1) * C(n, k) versus its closed form (2**n (n-1) + 1)/(n+1)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return _identity(n, _binomial_sums(n, lcm(*range(1, n + 2)))[0], 0)
 
 
 def binomial_identity_b(n: int) -> tuple[Fraction, Fraction]:
     """Sum of 1/(k+1) * C(n, k) versus its closed form (2**(n+1) - 1)/(n+1)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    lhs = _binomial_sums(n)[1]
-    rhs = Fraction((1 << (n + 1)) - 1, n + 1)
-    if lhs != rhs:
-        raise ArithmeticError(f"identity failed at n={n}: {lhs} != {rhs}")
-    return lhs, rhs
+    return _identity(n, _binomial_sums(n, lcm(*range(1, n + 2)))[1], 1)
 
 
 @dataclass(frozen=True)
@@ -319,8 +306,9 @@ def recurrence_step_check(n: int, i: int) -> RecurrenceReport:
     closed_i = total * transition_of_uniform(n, i)
     closed_i1 = total * transition_of_uniform(n, i + 1)
     closed_diff = -Fraction(total, n)
-    binom_nm1 = -_binomial_sums(n - 1)[1]
-    binom_n = -_binomial_sums(n)[1]
+    denominator = lcm(*range(1, n + 1))
+    binom_nm1 = -_binomial_sums(n - 1, denominator)[1]
+    binom_n = -_binomial_sums(n, lcm(denominator, n + 1))[1]
     if difference == binom_nm1:
         convention = "n-1"
     elif difference == binom_n:
@@ -391,9 +379,12 @@ def identity_report(n_max: int) -> dict:
             f"n_max must be non-negative and at most {MAX_IDENTITY_N}, got {n_max}"
         )
     rows = []
+    denominator = 1
     for n in range(n_max + 1):
-        lhs_a, rhs_a = binomial_identity_a(n)
-        lhs_b, rhs_b = binomial_identity_b(n)
+        denominator = lcm(denominator, n + 1)
+        sums = _binomial_sums(n, denominator)
+        lhs_a, rhs_a = _identity(n, sums[0], 0)
+        lhs_b, rhs_b = _identity(n, sums[1], 1)
         rows.append(
             {
                 "n": n,

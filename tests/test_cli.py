@@ -492,8 +492,8 @@ class TestIdentities:
     ):
         real_sums = universal._binomial_sums
 
-        def off_at_the_last_row(n):
-            weighted, plain = real_sums(n)
+        def off_at_the_last_row(n, denominator):
+            weighted, plain = real_sums(n, denominator)
             if n == 5:
                 plain += Fraction(1, 60)  # 1/lcm(1..6)
             return weighted, plain
@@ -511,10 +511,10 @@ class TestIdentities:
         assert captured.out == ""
 
     def test_n_max_above_the_bound_fails_before_any_work(self, monkeypatch, capsys):
-        def must_not_run(n):
+        def must_not_run(n, denominator):
             raise AssertionError("an identity ran before n_max was checked")
 
-        monkeypatch.setattr(universal, "binomial_identity_a", must_not_run)
+        monkeypatch.setattr(universal, "_binomial_sums", must_not_run)
         n_max = str(universal.MAX_IDENTITY_N + 1)
         assert run_cli(["identities", "--n-max", n_max]) == 2
         captured = capsys.readouterr()

@@ -162,6 +162,13 @@ class TestRegionOf:
         lam = BarycentricState([0.3, 0.7, 0.0])
         assert region_of(lam, x).outcome == 1
 
+    def test_float_point_on_a_face_has_ratio_zero(self):
+        # the minimal ratio is 0, so the tie bound is 0 and the float
+        # path must count a ratio equal to its bound
+        x = BarycentricState([0.2, 0.3, 0.5])
+        lam = BarycentricState([0.0, 0.5, 0.5])
+        assert region_of(lam, x) == RegionLabel((1,))
+
 
 @st.composite
 def rational_points(draw, n):

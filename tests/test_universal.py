@@ -196,6 +196,9 @@ class TestUniversalAverage:
             for i in range(1, n):
                 assert universal_average_1d(n, i) == brute_average(n, i)
 
+    def test_at_the_bound(self):
+        assert universal_average_1d(40, 13) == Fraction(27, 40)
+
     def test_right_target(self):
         assert universal_average_1d(4, 1, "right") == Fraction(1, 4)
 
@@ -300,13 +303,8 @@ def binomial_oracle(n):
 class TestBinomialSums:
     def test_matches_the_term_by_term_oracle(self):
         for n in range(201):
-            assert universal._binomial_sums(n) == binomial_oracle(n)
-
-    def test_alternating_calls_get_their_own_n(self):
-        # the cache keeps one n and its denominator, grown for a larger n
-        # and restarted for a smaller one; no n may be served another's
-        for n in (7, 8, 7, 7, 40, 41, 8, 0, 40, 1, 0, 0, 2):
-            assert universal._binomial_sums(n) == binomial_oracle(n)
+            sums = universal._binomial_sums(n, lcm(*range(1, n + 2)))
+            assert sums == binomial_oracle(n)
 
     def test_recurrence_binomial_fields_match_the_oracle(self):
         for n in range(3, 15):
@@ -319,9 +317,9 @@ class TestBinomialSums:
     def test_a_sum_off_by_one_over_its_denominator_fails(self, which, monkeypatch):
         real_sums = universal._binomial_sums
 
-        def off_by_one(n):
-            sums = list(real_sums(n))
-            sums[which] += Fraction(1, lcm(*range(1, n + 2)))
+        def off_by_one(n, denominator):
+            sums = list(real_sums(n, denominator))
+            sums[which] += Fraction(1, denominator)
             return tuple(sums)
 
         monkeypatch.setattr(universal, "_binomial_sums", off_by_one)
@@ -505,10 +503,11 @@ class TestPerKTotal:
 
 
 class TestReports:
-    def test_theorem_report(self):
-        report = theorem_report(6)
+    @pytest.mark.parametrize("max_cells", [2, 6])
+    def test_theorem_report(self, max_cells):
+        report = theorem_report(max_cells)
         assert all(row["equal"] for row in report["rows"])
-        assert len(report["rows"]) == sum(n - 1 for n in range(2, 7))
+        assert len(report["rows"]) == sum(n - 1 for n in range(2, max_cells + 1))
         row = report["rows"][0]
         assert row == {
             "n_cells": 2,
@@ -566,6 +565,27 @@ class TestReports:
         report = identity_report(12)
         assert all(r["equal_a"] and r["equal_b"] for r in report["rows"])
         assert report["rows"][3]["lhs_a"] == "17/4"
+
+    def test_identity_report_walk_matches_the_oracle(self):
+        # the walk carries lcm(1..n + 1) from one n to the next
+        for n, row in enumerate(identity_report(200)["rows"]):
+            assert (row["lhs_a"], row["lhs_b"]) == tuple(map(str, binomial_oracle(n)))
+
+    def test_identity_report_at_its_smallest_and_largest_n_max(self):
+        assert identity_report(0)["rows"] == [
+            {
+                "n": 0,
+                "lhs_a": "0",
+                "rhs_a": "0",
+                "equal_a": True,
+                "lhs_b": "1",
+                "rhs_b": "1",
+                "equal_b": True,
+            }
+        ]
+        rows = identity_report(universal.MAX_IDENTITY_N)["rows"]
+        assert len(rows) == universal.MAX_IDENTITY_N + 1
+        assert all(r["equal_a"] and r["equal_b"] for r in rows)
 
 
 UNIVERSAL_REJECTIONS = {
