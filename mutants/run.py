@@ -19,7 +19,8 @@ neither on luck nor on the catalogue's order. Only the standard
 library is used.
 
 Exit status: 0 when every mutant is killed, 1 otherwise, 2
-when the catalogue does not apply to the source.
+when the catalogue does not apply to the source. SIGTERM ends the run
+with status 143 and removes the copy, as an interrupt does.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -76,7 +78,14 @@ def pytest(tree: Path, tests: list[str]) -> subprocess.CompletedProcess:
     return run(tree, *args, f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests)
 
 
+def _exit_on_sigterm(signum, frame):
+    # an exception unwinds the run: pytest's child is killed and the
+    # temporary copy removed, which the default SIGTERM action skips
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         entries = load()
     except ValueError as exc:

@@ -38,6 +38,7 @@ from .simplex import (
     SUM_TOL,
     TIE_RTOL,
     BarycentricState,
+    _tile_bounds,
     from_internal_batch,
     internal_basis,
     region_counts,
@@ -198,6 +199,13 @@ class Density(abc.ABC):
         through this; by default the rows are the points themselves."""
         return self.sample_batch(rng, size)
 
+    def _ray_tiles(self, rng: np.random.Generator, size: int):
+        """The rows of `sample_rays(rng, size)` as consecutive tiles of
+        at most `simplex._TILE_POINTS` rows, which `estimate` counts one
+        at a time; by default slices of that one draw."""
+        rays = self.sample_rays(rng, size)
+        return (rays[start:stop] for start, stop in _tile_bounds(size))
+
     def region_probabilities(self, x: BarycentricState) -> list:
         """Integrals of the density over every collapse region of state
         `x`, outcome 1 first, in one pass; Fractions on the exact code
@@ -225,8 +233,8 @@ class UniformDensity(Density):
     is orthonormal, this is uniform for the hyperplane's Lebesgue
     measure. `sample_rays` returns the exponentials before that
     normalisation, the same draws, and `estimate` classifies them as
-    they are. The region integrals are the barycentric coordinates of
-    the state itself.
+    they are, drawn one tile at a time. The region integrals are the
+    barycentric coordinates of the state itself.
     """
 
     def __init__(self, n_outcomes: int):
@@ -241,6 +249,12 @@ class UniformDensity(Density):
         # rng.dirichlet with unit alphas draws exactly these, then scales
         # each row by 1/sum
         return rng.standard_exponential((size, self.n_outcomes))
+
+    def _ray_tiles(self, rng, size):
+        # the generator fills rows in order, so one draw per tile gives
+        # the bytes of one whole draw and no block-sized array is made
+        for start, stop in _tile_bounds(size):
+            yield self.sample_rays(rng, stop - start)
 
     def region_probabilities(self, x):
         self._check_state(x)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Density, _segment_points
-from .simplex import BarycentricState, region_counts
+from .simplex import BarycentricState, _count_tiles
 
 # still importable from here: perfbench/spans.py wraps montecarlo.classify_batch
 from .simplex import classify_batch  # noqa: F401
@@ -269,8 +269,11 @@ def estimate(
     Each sample draws a breaking point from `rho` and classifies its
     region; boundary ties resolve to the lowest index and are tallied in
     `boundary_hits`. Blocks draw through `rho.sample_rays`, whose rows
-    are positive multiples of the points, and `region_counts` counts
-    each block tile by tile.
+    are positive multiples of the points, and are counted tile by tile
+    as `region_counts` counts an array. A uniform block is drawn one
+    tile at a time, each tile counted before the next is drawn, so a
+    worker never holds the whole block; the stream is the same as one
+    block-sized draw.
     With a second state `paired`, each block is still drawn once, each
     tile is classified against both states, and the result is a
     `PairedEstimate` built from the merged joint counts; its `first`
@@ -294,8 +297,7 @@ def estimate(
     sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
 
     def block(b: int):
-        rays = rho.sample_rays(substream(seed, b), sizes[b])
-        return region_counts(rays, x, paired)
+        return _count_tiles(rho._ray_tiles(substream(seed, b), sizes[b]), x, paired)
 
     # an executor starts one OS thread per block while none is idle
     workers = min(threads, len(sizes), _usable_cpus())

@@ -39,10 +39,11 @@ import numpy as np
 SUM_TOL = 1e-12
 #: relative tolerance for declaring two breaking-point ratios tied
 TIE_RTOL = 1e-12
-#: rows per `region_counts` slice: at N <= 8 the slice's (N, tile)
-#: float64 ratios take at most 1 MiB, inside a core's 2 MiB L2 cache;
-#: per row the slice also holds a float64 bound, two N-byte tie masks,
-#: an intp label and a byte tie count
+#: rows per tile, the one tile length: `region_counts` classifies a batch
+#: and `estimate` draws a uniform block this many rows at a time; at N <= 8
+#: the tile's (N, tile) float64 ratios take at most 1 MiB, inside a core's
+#: 2 MiB L2 cache; per row the tile also holds a float64 bound, two N-byte
+#: tie masks, an intp label and a byte tie count
 _TILE_POINTS = 1 << 14
 
 
@@ -231,39 +232,60 @@ def classify_batch(
     return outcomes, on_boundary
 
 
+def _tile_bounds(size: int):
+    """(start, stop) rows of the consecutive tiles of a `size`-row batch,
+    each at most _TILE_POINTS long, read when the generator starts; an
+    empty batch still takes one empty tile, so its classification checks
+    the batch's shape."""
+    tile = _TILE_POINTS
+    for start in range(0, max(size, 1), tile):
+        yield start, min(start + tile, size)
+
+
 def region_counts(
     lams: np.ndarray, x: BarycentricState, paired: BarycentricState | None = None
 ) -> tuple[np.ndarray, int] | tuple[np.ndarray, np.ndarray]:
     """Outcome counts of a (size, N) batch and its number of boundary ties.
 
     As in `classify_batch`, a row may be any positive multiple of a point.
-    Runs `classify_batch` on consecutive slices of _TILE_POINTS rows and
-    sums each slice's boundary count and, for each outcome but the last,
-    the count of its labels (one comparison per outcome, cheaper at small
-    N than `np.bincount`'s scattered increments); the last outcome takes
-    the remaining rows. A slice thus costs a fixed dozen numpy calls to
-    classify and two per outcome to count; each call hands the GIL to
-    any other worker that waits for it, so fewer calls per slice let two
-    workers count in parallel instead of queuing. Its temporaries stay
-    one slice long whatever `size` is. Counts are sums over rows, so
-    they do not depend on the slice length.
+    `_count_tiles` counts the batch in consecutive slices of _TILE_POINTS
+    rows, so its temporaries stay one slice long whatever `size` is.
+    Counts are sums over rows, so they do not depend on the slice length.
 
-    With a second state `paired`, each slice is also classified against
-    it while the slice is in cache, and the result is (joint, hits):
-    joint[i, j] counts the rows with outcome i under `x` and j under
-    `paired` (int64, N x N), and hits holds the two states' boundary
-    counts. Only rows whose two outcomes differ are gathered and
-    bincounted; each diagonal entry is its outcome's count under `x`
+    With a second state `paired`, the result is (joint, hits): joint[i, j]
+    counts the rows with outcome i under `x` and j under `paired` (int64,
+    N x N), and hits holds the two states' boundary counts.
+    """
+    tiles = (lams[start:stop] for start, stop in _tile_bounds(len(lams)))
+    return _count_tiles(tiles, x, paired)
+
+
+def _count_tiles(tiles, x: BarycentricState, paired: BarycentricState | None = None):
+    """`region_counts` of the batch that the (rows, N) arrays `tiles`
+    make up in order, holding one tile at a time: `estimate` passes the
+    tiles of a block as its density draws them.
+
+    Runs `classify_batch` on each tile and sums its boundary count and,
+    for each outcome but the last, the count of its labels (one
+    comparison per outcome, cheaper at small N than `np.bincount`'s
+    scattered increments); the last outcome takes the remaining rows. A
+    tile thus costs a fixed dozen numpy calls to classify and two per
+    outcome to count; each call hands the GIL to any other worker that
+    waits for it, so fewer calls per tile let two workers count in
+    parallel instead of queuing.
+
+    With `paired`, each tile is also classified against it while the
+    tile is in cache. Only rows whose two outcomes differ are gathered
+    and bincounted; each diagonal entry is its outcome's count under `x`
     less the rest of its row.
     """
     n = x.n_outcomes
     counts = np.zeros(n, dtype=np.int64)
     off_diagonal = np.zeros(n * n, dtype=np.int64)
-    boundary_hits = paired_hits = 0
-    # one slice even when the batch is empty, so classify_batch checks its shape
-    for start in range(0, max(len(lams), 1), _TILE_POINTS):
-        tile = lams[start : start + _TILE_POINTS]
+    size = boundary_hits = paired_hits = 0
+    for tile in tiles:
         outcomes, on_boundary = classify_batch(tile, x)
+        size += len(tile)
         for j in range(n - 1):
             counts[j] += np.count_nonzero(outcomes == j)
         boundary_hits += int(np.count_nonzero(on_boundary))
@@ -274,7 +296,10 @@ def region_counts(
             off_diagonal += np.bincount(
                 outcomes[rows] * n + others[rows], minlength=n * n
             )
-    counts[-1] = len(lams) - counts[:-1].sum()
+            del others, rows
+        # free this tile's arrays before the next tile is drawn
+        del tile, outcomes, on_boundary
+    counts[-1] = size - counts[:-1].sum()
     if paired is None:
         return counts, boundary_hits
     joint = off_diagonal.reshape(n, n)

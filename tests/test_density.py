@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from membranesim import density as density_module
+from membranesim import simplex
 from membranesim.density import (
     GRID_SUBSAMPLES,
     BallComplement,
@@ -1431,3 +1432,49 @@ class TestSampleRays:
         rays = rho.sample_rays(np.random.default_rng(21), 5000)
         points = rho.sample_batch(np.random.default_rng(21), 5000)
         assert np.array_equal(rays, points)
+
+
+def _drawn_tiles(rho, seed, size):
+    """`rho._ray_tiles` of `size` rows, with its `sample_rays` calls."""
+    sizes = []
+    sample_rays = rho.sample_rays
+
+    def spy(rng, k):
+        sizes.append(k)
+        return sample_rays(rng, k)
+
+    rho.sample_rays = spy
+    return list(rho._ray_tiles(np.random.default_rng(seed), size)), sizes
+
+
+class TestRayTiles:
+    T = simplex._TILE_POINTS
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize(
+        "size", [1, T - 1, T, T + 1, BLOCK_SIZE, 1_000_003 % BLOCK_SIZE]
+    )
+    def test_uniform_tiles_are_one_draw(self, n, size):
+        # one draw per tile, and together the bytes of one whole draw
+        tiles, sizes = _drawn_tiles(UniformDensity(n), size, size)
+        whole = UniformDensity(n).sample_rays(np.random.default_rng(size), size)
+        assert sizes == [len(tile) for tile in tiles]
+        assert len(tiles) == math.ceil(size / self.T)
+        assert all(0 < len(tile) <= self.T for tile in tiles)
+        assert np.concatenate(tiles).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("rho", other_families(), ids=lambda v: type(v).__name__)
+    def test_every_other_family_slices_its_one_draw(self, rho, monkeypatch):
+        monkeypatch.setattr(simplex, "_TILE_POINTS", 1500)
+        tiles, sizes = _drawn_tiles(rho, 21, 5000)
+        assert sizes == [5000]
+        assert [len(tile) for tile in tiles] == [1500, 1500, 1500, 500]
+        assert all(t.base is not None and t.base is tiles[0].base for t in tiles)
+        whole = rho.sample_rays(np.random.default_rng(21), 5000)
+        assert np.array_equal(np.concatenate(tiles), whole)
+
+    @pytest.mark.parametrize("rho", [UniformDensity(3)] + other_families()[:1])
+    def test_an_empty_draw_is_one_empty_tile(self, rho):
+        # so the block's classification still checks the shape
+        tiles, _ = _drawn_tiles(rho, 3, 0)
+        assert [tile.shape for tile in tiles] == [(0, rho.n_outcomes)]

@@ -320,20 +320,29 @@ class TestTiles:
             monkeypatch.setattr(simplex, "_TILE_POINTS", tile)
             assert self.runs() == whole
 
-    def test_one_block_peaks_at_a_few_tiles_of_ratios(self):
-        # the sampled batch plus a few (N, tile) float64 slices; a whole-block
-        # classification would add about six such slices
-        x = BarycentricState([0.05, 0.1, 0.0, 0.25, 0.3, 0.3])
-        rho = UniformDensity(6)
-        estimate(x, rho, montecarlo.BLOCK_SIZE, 7)  # first-call allocations
+    @pytest.mark.parametrize(
+        "state, paired",
+        [
+            ([0.05, 0.1, 0.0, 0.25, 0.3, 0.3], None),
+            ([0.3, 0.3, 0.4], [0.32, 0.29, 0.39]),
+        ],
+    )
+    def test_one_block_peaks_at_a_few_tiles_of_ratios(self, state, paired):
+        # a uniform block is drawn, classified and counted one tile at a
+        # time: the peak is a tile of rays, its ratios and a few per-row
+        # arrays, about 2.5 (N, tile) float64 slices at N = 6 and 3.3 for a
+        # paired N = 3 block; drawing the whole block first adds about three
+        x, rho = BarycentricState(state), UniformDensity(len(state))
+        moved = None if paired is None else BarycentricState(paired)
+        # first-call allocations
+        estimate(x, rho, montecarlo.BLOCK_SIZE, 7, paired=moved)
         tracemalloc.start()
         try:
-            estimate(x, rho, montecarlo.BLOCK_SIZE, 7)
+            estimate(x, rho, montecarlo.BLOCK_SIZE, 7, paired=moved)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        lams_bytes = montecarlo.BLOCK_SIZE * 6 * 8
-        assert peak < lams_bytes + 3 * 6 * simplex._TILE_POINTS * 8
+        assert peak < 3.5 * len(state) * simplex._TILE_POINTS * 8
 
 
 class TestSubstream:
