@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -388,7 +389,15 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process from `_COMMANDS`.
+
+    Every call returns the same parser, so options must not be changed
+    at run time. It holds no per-call state: every option's default is
+    None, and config values, defaults and the MEMBRANESIM_THREADS
+    fallback are applied after parsing, in `_apply_config_and_defaults`.
+    """
     parser = argparse.ArgumentParser(
         prog="membranesim",
         description="Simulate and verify breakable-membrane measurements",

@@ -31,11 +31,15 @@ and each distinct prefix index adds the table at that offset, times
 its count. No binomial enters the counts. Integer dot products turn
 them into per-k integer sums S_k. Each exact sum, over S_k / k here and
 over the binomial terms of the identities, is one integer numerator
-over lcm(1..K), made into a single Fraction at the end. An identity's
-integer terms come in one pass, each from the one before it by the
-ratio of consecutive binomials; identity_report carries lcm(1..n + 1)
-up its walk over n, and the module keeps no state between calls. No
-float enters the enumeration or the reduction.
+over lcm(1..K), made into a single Fraction at the end; the S_k / k
+numerator is one C-level sum of products of S_k with lcm(1..K) // k.
+An identity's integer terms t_k come in one pass, each from the one
+before it by the ratio of consecutive binomials. The weighted sum of
+k t_k comes by summation by parts, with no multiply per term: with the
+partial sums P_k = t_0 + ... + t_k and R = P_0 + ... + P_n, it is
+(n + 1) P_n - R. identity_report carries lcm(1..n + 1) up its walk
+over n, and the module keeps no state between calls. No float enters
+the enumeration or the reduction.
 
 The kernel can also count masks by a field of `width` bits starting at
 `bit`. The theorem table uses that to serve every position of an n-cell
@@ -51,6 +55,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -59,7 +64,7 @@ import numpy as np
 #: theorem_report(24) 0.006-0.013 s (2 vCPU, numpy 2.4.6)
 MAX_ENUMERABLE_CELLS = 40
 #: largest n_max of the identity table; identity_report(600) takes about
-#: 0.10-0.15 s, the CLI run about 0.3 s (2 vCPU, Python 3.11)
+#: 0.07-0.09 s, the CLI run about 0.33-0.44 s (2 vCPU, Python 3.11)
 MAX_IDENTITY_N = 600
 #: mask bits per kernel pass of the theorem table's per-cell counts
 _FIELD_BITS = 8
@@ -156,7 +161,9 @@ def _per_k_total(sums) -> Fraction:
     """Exact sum of sums[k] / k over k = 1..K, K = len(sums) - 1, for
     integer sums: one integer numerator over lcm(1..K), then one Fraction."""
     denominator = lcm(*range(1, len(sums)))
-    numerator = sum(int(s) * (denominator // k) for k, s in enumerate(sums) if k)
+    shares = [denominator // k for k in range(1, len(sums))]
+    # tolist() gives Python ints, so no int64 product can overflow
+    numerator = sum(map(mul, np.asarray(sums)[1:].tolist(), shares))
     return Fraction(numerator, denominator)
 
 
@@ -198,16 +205,20 @@ def universal_average_abstract(n_cells: int, cells_in_complement: int) -> Fracti
 def _binomial_sums(n: int, denominator: int) -> tuple[Fraction, Fraction]:
     """Exact sums of k C(n, k)/(k + 1) and of C(n, k)/(k + 1), k = 0..n,
     each one integer numerator over L = `denominator` = lcm(1..n + 1).
-    Term k + 1 of the integers C(n, k) L/(k + 1) is term k times
-    (n - k)/(k + 2), an exact divide. The caller owns L: identity_report
-    carries it up its walk over n, one factor per n, and every other
-    caller builds it from scratch."""
-    weighted = plain = 0
+    Term k + 1 of the integers t_k = C(n, k) L/(k + 1) is term k times
+    (n - k)/(k + 2), an exact divide. The plain numerator is the partial
+    sum P_n = t_0 + ... + t_n. The weighted one is summed by parts: each
+    t_j appears in the n + 1 - j partial sums P_j..P_n, so with
+    R = P_0 + ... + P_n it is (n + 1) P_n - R, and no term is multiplied
+    by k. The caller owns L: identity_report carries it up its walk over
+    n, one factor per n, and every other caller builds it from scratch."""
+    plain = partials = 0
     term = denominator
     for k in range(n + 1):
-        weighted += k * term
         plain += term
+        partials += plain
         term = term * (n - k) // (k + 2)
+    weighted = (n + 1) * plain - partials
     return Fraction(weighted, denominator), Fraction(plain, denominator)
 
 

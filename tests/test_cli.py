@@ -1131,3 +1131,62 @@ def test_readme_commands_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.iterdir())) == len(README_RUNS)
+
+
+class TestCachedParser:
+    """build_parser runs once per process, so no run may see another's
+    flags, config values or thread count."""
+
+    def test_runs_in_one_process_match_runs_made_alone(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples": 3000, "format": "json"}))
+        simulate = ["simulate", "--state", "0.3,0.7", "--seed", "5"]
+        # (argv, MEMBRANESIM_THREADS, the threads the run must use)
+        runs = [
+            (["identities", "--n-max", "12"], "1", None),
+            (simulate + ["--threads", "2", "--config", str(config)], "1", 2),
+            (simulate + ["--samples", "2000"], "1", 1),
+            (simulate + ["--samples", "2000"], "0", None),
+            (simulate + ["--samples", "2000"], "2", 2),
+        ]
+        threads_used = []
+        real_estimate = cli.estimate
+
+        def spy(*args, threads, **kwargs):
+            threads_used.append(threads)
+            return real_estimate(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate", spy)
+        together, alone = [], []
+        for k, (argv, env, _) in enumerate(runs):
+            monkeypatch.setenv("MEMBRANESIM_THREADS", env)
+            out = tmp_path / f"together-{k}"
+            code = run_cli(argv + ["--out", str(out)])
+            together.append((code, out.read_bytes() if out.exists() else None))
+            out = tmp_path / f"alone-{k}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "membranesim.cli", *argv, "--out", str(out)],
+                capture_output=True,
+            )
+            alone.append((proc.returncode, out.read_bytes() if out.exists() else None))
+        assert together == alone
+        assert [code for code, _ in together] == [0, 0, 0, 2, 0]
+        # the config's format and samples stay with the run that named it
+        assert together[1][1].startswith(b"{") and together[2][1].startswith(b"outcome")
+        assert threads_used == [threads for _, _, threads in runs if threads]
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_equals_that_of_a_fresh_parser(self, command, capsys):
+        # a run first, so the cached parser has parsed once
+        cli.main(["simulate", "--state", "0.5,0.5", "--seed", "1", "--samples", "10"])
+        capsys.readouterr()
+        argv = [command, "--help"] if command else ["--help"]
+        helps = []
+        for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and "--help" in helps[0]
+
+    def test_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()

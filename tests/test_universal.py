@@ -302,7 +302,7 @@ def binomial_oracle(n):
 
 class TestBinomialSums:
     def test_matches_the_term_by_term_oracle(self):
-        for n in range(201):
+        for n in [*range(201), 299, 300, 599, 600]:
             sums = universal._binomial_sums(n, lcm(*range(1, n + 2)))
             assert sums == binomial_oracle(n)
 
@@ -498,6 +498,20 @@ class TestPerKTotal:
         sums = np.array(values, dtype=np.int64)
         expected = sum(
             (Fraction(int(s), k) for k, s in enumerate(sums) if k), Fraction(0)
+        )
+        assert universal._per_k_total(sums) == expected
+
+    @pytest.mark.parametrize("length", [2, 3, 41])
+    @pytest.mark.parametrize("kind", ["int64", "list"])
+    def test_matches_a_plain_fraction_sum(self, length, kind):
+        # sums[0] is never read; the rest alternate in sign near the int64 ends
+        values = [2**63 - 1] + [
+            (-1) ** k * (2**62 + 12345 * k) for k in range(1, length - 1)
+        ]
+        values.append(-(2**63))
+        sums = np.array(values, dtype=np.int64) if kind == "int64" else values
+        expected = sum(
+            (Fraction(values[k], k) for k in range(1, length)), Fraction(0)
         )
         assert universal._per_k_total(sums) == expected
 
