@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -145,10 +146,14 @@ class TestSimulate:
         assert "seed" in capsys.readouterr().err
 
     def test_bad_state_is_a_validation_error(self, capsys):
-        code = run_cli(
-            ["simulate", "--state", "0.5,0.6", "--seed", "1", "--samples", "10"]
-        )
-        assert code == 2
+        # an overflowing weight sum leaves no numpy warning to turn into an error
+        for state in ("0.5,0.6", "1e308,1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli(
+                    ["simulate", "--state", state, "--seed", "1", "--samples", "10"]
+                )
+            assert code == 2, state
 
     def test_non_finite_state_is_a_validation_error(self, capsys):
         code = run_cli(
@@ -515,11 +520,11 @@ class TestIdentities:
             raise AssertionError("an identity ran before n_max was checked")
 
         monkeypatch.setattr(universal, "_binomial_sums", must_not_run)
-        n_max = str(universal.MAX_IDENTITY_N + 1)
-        assert run_cli(["identities", "--n-max", n_max]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert str(universal.MAX_IDENTITY_N) in captured.err
+        for n_max in (universal.MAX_IDENTITY_N + 1, 100_000_000):
+            assert run_cli(["identities", "--n-max", str(n_max)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert str(universal.MAX_IDENTITY_N) in captured.err
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "ids.csv"
@@ -586,25 +591,23 @@ class TestApproximate:
 
 class TestRobustnessCommand:
     def test_analytic_csv(self, tmp_path):
+        args = ["robustness", "--state", "0.495,0.505", "--delta", "0.01,-0.01"]
         out = tmp_path / "rob.csv"
-        code = run_cli(
-            [
-                "robustness",
-                "--state",
-                "0.495,0.505",
-                "--delta",
-                "0.01,-0.01",
-                "--epsilon-grid",
-                "0.05,0.1,0.5,1.0",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        grid = ["--epsilon-grid", "0.05,0.1,0.5,1.0"]
+        assert run_cli(args + grid + ["--out", str(out)]) == 0
         rows = read_csv(out)
         assert len(rows) == 4
         for row in rows:
             assert float(row["ratio"]) == pytest.approx(1.0, abs=1e-9)
+        # the README sweep, whose JSON also carries the exact threshold |dx|
+        out = tmp_path / "rob.json"
+        grid = ["--epsilon-grid", "0.02,0.1,0.5,1.0", "--format", "json"]
+        assert run_cli(args + grid + ["--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["epsilon_tilde"] == pytest.approx(0.01, abs=1e-12)
+        assert payload["epsilon_tilde_exact"] is True
+        ratios = [r["ratio"] for r in payload["results"]]
+        assert ratios == pytest.approx([1.0] * 4, abs=1e-9)
 
     def test_mc_needs_seed(self, capsys):
         code = run_cli(
